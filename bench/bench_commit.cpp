@@ -117,7 +117,8 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
   core::ProposerConfig cfg;
   cfg.threads = 4;
   cfg.commit_pipeline = pipe;
-  core::OccWsiProposer proposer(cfg);
+  core::BlockProposer proposer(cfg);
+  ThreadPool workers(1);  // the virtual-time engine never touches it
 
   std::vector<OverlapSample> samples;
   std::vector<core::ProposedBlock> blocks;
@@ -127,7 +128,7 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
     txpool::TxPool pool;
     pool.add_all(gen.next_block());
     Stopwatch sw;
-    blocks.push_back(proposer.propose_virtual(*parent, ctx_for(h), pool));
+    blocks.push_back(proposer.propose(*parent, ctx_for(h), pool, workers));
     OverlapSample s;
     s.txs = blocks.back().block.transactions.size();
     s.exec_ms = sw.elapsed_ms();  // inline mode: includes sealing

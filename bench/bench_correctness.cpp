@@ -28,7 +28,7 @@ void run() {
   ThreadPool workers(4);
   core::ProposerConfig pc;
   pc.threads = 8;
-  core::OccWsiProposer proposer(pc);
+  core::BlockProposer proposer(pc);
   core::ValidatorConfig vc;
   vc.threads = 8;
 

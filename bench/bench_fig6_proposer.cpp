@@ -38,7 +38,7 @@ void run() {
       pool.add_all(gen.next_block());
       core::ProposerConfig cfg;
       cfg.threads = threads;
-      core::OccWsiProposer proposer(cfg);
+      core::BlockProposer proposer(cfg);
       const core::ProposedBlock blk = proposer.propose(
           genesis, ctx_for(static_cast<std::uint64_t>(b) + 1), pool, workers);
       hist.add(blk.stats.virtual_speedup());

@@ -434,7 +434,7 @@ void capture_differential() {
       pool.add_all(gen.next_block());
       core::ProposerConfig cfg;
       cfg.threads = threads;
-      core::OccWsiProposer proposer(cfg);
+      core::BlockProposer proposer(cfg);
       core::ProposedBlock blk = proposer.propose(
           genesis, ctx_for(static_cast<std::uint64_t>(b) + 1), pool, workers);
       blk.await_seal();
@@ -461,7 +461,7 @@ bool run_differential(bool smoke, std::string& detail) {
       pool.add_all(gen.next_block());
       core::ProposerConfig cfg;
       cfg.threads = run.threads;
-      core::OccWsiProposer proposer(cfg);
+      core::BlockProposer proposer(cfg);
       core::ProposedBlock blk = proposer.propose(
           genesis, ctx_for(static_cast<std::uint64_t>(b) + 1), pool, workers);
       blk.await_seal();
@@ -626,7 +626,7 @@ std::vector<Fig6After> run_fig6(int blocks) {
       pool.add_all(gen.next_block());
       core::ProposerConfig cfg;
       cfg.threads = threads;
-      core::OccWsiProposer proposer(cfg);
+      core::BlockProposer proposer(cfg);
       const core::ProposedBlock blk = proposer.propose(
           genesis, ctx_for(static_cast<std::uint64_t>(b) + 1), pool, workers);
       hist.add(blk.stats.virtual_speedup());

@@ -12,7 +12,8 @@
 # analysis cache, and bench_evm --smoke gates fast-vs-reference
 # bit-identity plus cache hit-rate floors.
 # The stm-labeled suites (Block-STM scheduler, multi-version memory, the
-# cross-engine differential, and the host-threads hammer) run in the
+# cross-engine differential, the host-threads hammer, and the preemption
+# hammer that replays host-proposed blocks on a replica) run in the
 # default build and again under ThreadSanitizer (the tsan-stm preset).
 # The db-labeled crash/recovery suites additionally run under combined
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a

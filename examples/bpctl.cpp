@@ -85,7 +85,7 @@ int cmd_chain(const Options& opt) {
   ThreadPool workers(4);
   core::ProposerConfig pc;
   pc.threads = opt.threads;
-  core::OccWsiProposer proposer(pc);
+  core::BlockProposer proposer(pc);
   core::ValidatorConfig vc;
   vc.threads = opt.threads;
   core::BlockValidator validator(vc);
@@ -151,8 +151,8 @@ int cmd_sweep(const Options& opt) {
       pool.add_all(batches[static_cast<std::size_t>(b)]);
       core::ProposerConfig pc;
       pc.threads = threads;
-      const auto blk = core::OccWsiProposer(pc).propose(genesis, ctx_for(1),
-                                                        pool, workers);
+      const auto blk = core::BlockProposer(pc).propose(genesis, ctx_for(1),
+                                                       pool, workers);
       prop += blk.stats.virtual_speedup();
 
       core::ValidatorConfig vc;
@@ -187,7 +187,7 @@ int cmd_export(const Options& opt) {
   ThreadPool workers(4);
   core::ProposerConfig pc;
   pc.threads = opt.threads;
-  core::OccWsiProposer proposer(pc);
+  core::BlockProposer proposer(pc);
   chain::BlockArchiveWriter writer(out);
 
   for (std::uint64_t h = 1; h <= opt.heights; ++h) {

@@ -53,7 +53,7 @@ int main() {
     for (std::size_t p = 0; p < kProposers; ++p) {
       txpool::TxPool pool;
       pool.add_all(gen.next_block());  // distinct tx sets per proposer
-      core::OccWsiProposer proposer(pcfg);
+      core::BlockProposer proposer(pcfg);
       core::ProposedBlock blk =
           proposer.propose(*parent_state, ctx_for(height), pool, workers);
       blk.block.header.parent_hash = parent_hash;

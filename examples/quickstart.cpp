@@ -40,7 +40,7 @@ int main() {
   ThreadPool workers(4);
   core::ProposerConfig pcfg;
   pcfg.threads = 8;  // 8 virtual workers (deterministic virtual-time mode)
-  core::OccWsiProposer proposer(pcfg);
+  core::BlockProposer proposer(pcfg);
   core::ProposedBlock proposed =
       proposer.propose(*chain.head_state(), ctx, pool, workers);
   proposed.block.header.parent_hash = chain.head().header.hash();

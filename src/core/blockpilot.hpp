@@ -1,8 +1,10 @@
 // BlockPilot public API facade.
 //
 // #include "core/blockpilot.hpp" pulls in the full framework:
-//  * OccWsiProposer  — parallel block production (OCC-WSI, Algorithm 1)
-//  * BlockValidator  — scheduled deterministic parallel replay (Algorithm 2)
+//  * BlockProposer   — parallel block production (OCC-WSI, Algorithm 1;
+//                      or Block-STM)
+//  * BlockValidator  — scheduled deterministic parallel replay (Algorithm 2;
+//                      or Block-STM)
 //  * ValidatorPipeline — multi-block pipelined validation (Fig. 5)
 //  * execute_serial  — the Geth-style serial reference / oracle
 //  * TwoPhaseOcc     — the parallel-then-serial OCC comparison baseline

@@ -2,7 +2,7 @@
 //
 // Couples the layers end to end the way a running node would: a
 // TrafficGenerator firehose feeds the TxPool's admission front while the
-// OccWsiProposer pulls fixed-gas blocks out of it; sealing rides the
+// BlockProposer pulls fixed-gas blocks out of it; sealing rides the
 // CommitPipeline (speculative, up to `speculation_depth` unsettled heights)
 // and settled blocks append to the Blockchain.  The driver measures what
 // the replay benches cannot: steady-state throughput under a continuous

@@ -64,28 +64,6 @@ std::unique_ptr<ExecutionEngine> make_execution_engine(
   return detail::make_occ_wsi_engine(config, is_host_threads(config.mode));
 }
 
-ProposedBlock BlockProposer::propose_virtual(const state::WorldState& pre,
-                                             const evm::BlockContext& block_ctx,
-                                             txpool::TxPool& pool) {
-  if (!is_host_threads(config_.mode))
-    return engine_->propose(pre, block_ctx, pool, nullptr);
-  ProposerConfig cfg = config_;
-  cfg.mode = is_block_stm(config_.mode) ? ScheduleMode::kBlockStm
-                                        : ScheduleMode::kVirtualTime;
-  return make_execution_engine(cfg)->propose(pre, block_ctx, pool, nullptr);
-}
-
-ProposedBlock BlockProposer::propose_host_threads(
-    const state::WorldState& pre, const evm::BlockContext& block_ctx,
-    txpool::TxPool& pool, ThreadPool& workers) {
-  if (is_host_threads(config_.mode))
-    return engine_->propose(pre, block_ctx, pool, &workers);
-  ProposerConfig cfg = config_;
-  cfg.mode = is_block_stm(config_.mode) ? ScheduleMode::kBlockStmHost
-                                        : ScheduleMode::kHostThreads;
-  return make_execution_engine(cfg)->propose(pre, block_ctx, pool, &workers);
-}
-
 void ExecutionEngine::seal_commitment(ProposedBlock& result) {
   if (config_.commit_pipeline == nullptr) {
     result.block.header.state_root = result.post_state->state_root();

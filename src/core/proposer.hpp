@@ -16,10 +16,6 @@
 // Either way the produced block carries its profile (read/write sets +
 // per-tx gas) for broadcast, enabling validators' dependency-graph
 // scheduling (§4.2 end).
-//
-// propose_virtual() / propose_host_threads() pin the realization while
-// keeping the configured family — callers that want "this block, but
-// deterministic" (tests, benches) use them regardless of config.mode.
 #pragma once
 
 #include <memory>
@@ -42,27 +38,11 @@ class BlockProposer {
     return engine_->propose(pre, block_ctx, pool, &workers);
   }
 
-  /// Deterministic discrete-event realization of the configured family
-  /// (kVirtualTime for the OCC modes, kBlockStm for the Block-STM modes).
-  ProposedBlock propose_virtual(const state::WorldState& pre,
-                                const evm::BlockContext& block_ctx,
-                                txpool::TxPool& pool);
-
-  /// Real-thread realization of the configured family.
-  ProposedBlock propose_host_threads(const state::WorldState& pre,
-                                     const evm::BlockContext& block_ctx,
-                                     txpool::TxPool& pool,
-                                     ThreadPool& workers);
-
   const ProposerConfig& config() const noexcept { return config_; }
 
  private:
   ProposerConfig config_;
   std::unique_ptr<ExecutionEngine> engine_;
 };
-
-/// Historical name, kept for the OCC-centric call sites; the class has been
-/// the engine-dispatching facade since the Block-STM engine landed.
-using OccWsiProposer = BlockProposer;
 
 }  // namespace blockpilot::core

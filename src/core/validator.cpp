@@ -7,6 +7,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "core/blockstm_run.hpp"
 #include "core/serial_executor.hpp"
 #include "state/exec_buffer.hpp"
 #include "state/read_view.hpp"
@@ -93,11 +94,6 @@ struct ResultBoard {
   }
 };
 
-bool same_reads(const std::vector<StateKey>& observed,
-                const std::vector<StateKey>& expected) {
-  return observed == expected;  // both sorted by state_key_less
-}
-
 bool same_writes(const std::vector<std::pair<StateKey, U256>>& observed,
                  const std::vector<std::pair<StateKey, U256>>& expected) {
   if (observed.size() != expected.size()) return false;
@@ -109,42 +105,132 @@ bool same_writes(const std::vector<std::pair<StateKey, U256>>& observed,
   return true;
 }
 
-/// The paper's Algorithm 2 (subgraph-LPT scheduled replay) — the frozen
-/// oracle the Block-STM path (validator_stm.cpp) is gated against.
-ValidationOutcome validate_subgraph_lpt(const ValidatorConfig& config_,
-                                        const state::WorldState& pre,
-                                        const chain::Block& block,
-                                        const chain::BlockProfile& profile,
-                                        ThreadPool& workers) {
-  BP_ASSERT(config_.threads >= 1);
-  ValidationOutcome outcome;
-  Stopwatch wall;
+/// The Block Validation and Block Commitment phases, shared by every
+/// replay engine: transactions are checked against the profile in block
+/// order (honest-proposer check, §4.4), applied with the serial coinbase
+/// fee and receipted; then the header's gas, receipts root and bloom are
+/// checked and the state root is computed inline or queued on the commit
+/// pipeline.  One tail means one set of reject strings for every engine.
+class BlockApplier {
+ public:
+  BlockApplier(const ValidatorConfig& config, const state::WorldState& pre,
+               const chain::Block& block, const chain::BlockProfile& profile,
+               ValidationOutcome& outcome)
+      : config_(config),
+        block_(block),
+        profile_(profile),
+        outcome_(outcome),
+        post_(std::make_shared<state::WorldState>(pre)) {}
 
-  const std::size_t n = block.transactions.size();
-  if (profile.txs.size() != n) {
-    outcome.reject_reason = "profile size mismatch";
-    return outcome;
+  /// Checks transaction i's replay (`reads` sorted by state_key_less)
+  /// against its profile entry, then applies it and appends its receipt.
+  /// False = rejected, with the reason in the outcome.
+  bool apply(std::size_t i, evm::TxExecResult& result,
+             const std::vector<StateKey>& reads,
+             const std::vector<std::pair<StateKey, U256>>& writes) {
+    if (result.status != evm::TxStatus::kIncluded)
+      return reject("transaction " + std::to_string(i) +
+                    " failed to execute in scheduled replay");
+    applier_chain_ += config_.costs.apply_cost;
+
+    const chain::TxProfile& expected = profile_.txs[i];
+    if (result.gas_used != expected.gas_used)
+      return reject("gas mismatch at tx " + std::to_string(i));
+    if (reads != expected.reads)
+      return reject("read-set mismatch at tx " + std::to_string(i));
+    if (!same_writes(writes, expected.writes))
+      return reject("write-set mismatch at tx " + std::to_string(i));
+
+    apply_tx_writes(*post_, writes, block_.header.coinbase, result.fee());
+    gas_used_ += result.gas_used;
+
+    chain::Receipt receipt;
+    receipt.success = (result.vm_status == evm::Status::kSuccess);
+    receipt.gas_used = result.gas_used;
+    receipt.cumulative_gas = gas_used_;
+    receipt.logs = std::move(result.logs);
+    outcome_.exec.receipts.push_back(std::move(receipt));
+    return true;
   }
 
-  // ---- Preparation phase ----
-  const sched::DependencyGraph graph =
-      sched::build_dependency_graph(profile, config_.granularity);
-  const sched::ThreadPlan plan = sched::lpt_schedule(graph, config_.threads);
+  /// Header checks, then the state root.  `exec_makespan` is the execution
+  /// lanes' virtual makespan.  Call once, after every transaction applied.
+  void finish(std::uint64_t exec_makespan) {
+    if (gas_used_ != block_.header.gas_used) {
+      reject("header gas_used mismatch");
+      return;
+    }
+    if (chain::receipts_root(outcome_.exec.receipts) !=
+        block_.header.receipts_root) {
+      reject("receipts root mismatch");
+      return;
+    }
+    if (!(chain::block_bloom(outcome_.exec.receipts) ==
+          block_.header.logs_bloom)) {
+      reject("logs bloom mismatch");
+      return;
+    }
 
-  outcome.stats.subgraphs = graph.subgraphs.size();
-  outcome.stats.largest_subgraph_ratio = graph.largest_subgraph_ratio();
-  outcome.stats.critical_path_gas = graph.critical_path_gas();
+    outcome_.expected_state_root = block_.header.state_root;
+    if (config_.seed_directory != nullptr)
+      post_->adopt_block_seeds(
+          config_.seed_directory->for_block(block_.header.hash()));
+    if (config_.commit_pipeline != nullptr) {
+      // ---- Block Commitment, asynchronous ----
+      // The root computation moves onto the commit pipeline; `valid` is
+      // provisional (execution-level) until await_commit() compares the
+      // root against the header.  The post state is sealed — nothing
+      // mutates it after submission.
+      outcome_.commit = config_.commit_pipeline->submit(post_);
+    } else {
+      const Hash256 root = post_->state_root();
+      if (root != block_.header.state_root) {
+        reject("state root mismatch");
+        return;
+      }
+      outcome_.exec.state_root = root;
+    }
 
-  evm::BlockContext block_ctx;
-  block_ctx.number = block.header.number;
-  block_ctx.timestamp = block.header.timestamp;
-  block_ctx.coinbase = block.header.coinbase;
-  block_ctx.gas_limit = block.header.gas_limit;
-  block_ctx.analysis_cache = config_.analysis_cache;
+    // ---- ready for Block Commitment (caller appends to the ledger) ----
+    outcome_.valid = true;
+    outcome_.exec.profile = profile_;
+    outcome_.exec.gas_used = gas_used_;
+    outcome_.exec.post_state = std::move(post_);
+    outcome_.stats.serial_gas = gas_used_;
+    outcome_.stats.vtime_makespan = std::max(exec_makespan, applier_chain_);
+  }
+
+ private:
+  bool reject(std::string reason) {
+    outcome_.reject_reason = std::move(reason);
+    return false;
+  }
+
+  const ValidatorConfig& config_;
+  const chain::Block& block_;
+  const chain::BlockProfile& profile_;
+  ValidationOutcome& outcome_;
+  std::shared_ptr<state::WorldState> post_;
+  std::uint64_t applier_chain_ = 0;
+  std::uint64_t gas_used_ = 0;
+};
+
+/// The paper's Algorithm 2 (subgraph-LPT scheduled replay) — the frozen
+/// oracle the Block-STM replay is gated against.  The applier drains the
+/// lanes' results in block order while they are still executing.
+void replay_subgraph_lpt(const ValidatorConfig& config,
+                         const state::WorldState& pre,
+                         const chain::Block& block,
+                         const chain::BlockProfile& profile,
+                         const sched::DependencyGraph& graph,
+                         const evm::BlockContext& block_ctx,
+                         ThreadPool& workers, ValidationOutcome& outcome) {
+  const std::size_t n = block.transactions.size();
+  const sched::ThreadPlan plan = sched::lpt_schedule(graph, config.threads);
 
   ResultBoard board;
   board.slots.resize(n);
-  vtime::WorkLedger ledger(config_.threads);
+  vtime::WorkLedger ledger(config.threads);
 
   // ---- Tx Execution phase (worker pool) ----
   auto run_lane = [&](std::size_t lane) {
@@ -163,7 +249,7 @@ ValidationOutcome validate_subgraph_lpt(const ValidatorConfig& config_,
                              sg.tx_indices.front()))
         ++lane_subgraphs;
     }
-    ledger.add(lane, lane_subgraphs * config_.costs.dispatch_cost);
+    ledger.add(lane, lane_subgraphs * config.costs.dispatch_cost);
 
     // One buffer per lane, reset per transaction: keeps the read/write
     // table allocations hot instead of reallocating for every replay.
@@ -185,11 +271,11 @@ ValidationOutcome validate_subgraph_lpt(const ValidatorConfig& config_,
       buffer.sorted_read_keys_into(out.reads);
       buffer.write_set_into(out.writes);
 
-      if (!config_.prefetch) {
+      if (!config.prefetch) {
         std::size_t cold_reads = 0;
         for (const auto& key : out.reads)
           if (lane_cache.insert(key).second) ++cold_reads;
-        ledger.add(lane, cold_reads * config_.costs.io_read_cost);
+        ledger.add(lane, cold_reads * config.costs.io_read_cost);
       }
 
       overlay.merge(out.writes);
@@ -197,106 +283,82 @@ ValidationOutcome validate_subgraph_lpt(const ValidatorConfig& config_,
     }
   };
 
-  if (config_.threads == 1) {
+  if (config.threads == 1) {
     run_lane(0);
   } else {
-    for (std::size_t t = 0; t < config_.threads; ++t)
+    for (std::size_t t = 0; t < config.threads; ++t)
       workers.submit([&run_lane, t] { run_lane(t); });
   }
 
   // ---- Block Validation phase (applier, on the calling thread) ----
-  auto post = std::make_shared<state::WorldState>(pre);
-  std::uint64_t applier_chain = 0;
-  std::uint64_t gas_used = 0;
+  BlockApplier applier(config, pre, block, profile, outcome);
   for (std::size_t i = 0; i < n && !board.failed; ++i) {
     auto out = board.take(i);
     if (!out.has_value()) break;
-    applier_chain += config_.costs.apply_cost;
-
-    const chain::TxProfile& expected = profile.txs[i];
-    if (out->result.gas_used != expected.gas_used) {
-      board.fail("gas mismatch at tx " + std::to_string(i));
+    if (!applier.apply(i, out->result, out->reads, out->writes)) {
+      board.fail(outcome.reject_reason);
       break;
     }
-    if (!same_reads(out->reads, expected.reads)) {
-      board.fail("read-set mismatch at tx " + std::to_string(i));
-      break;
-    }
-    if (!same_writes(out->writes, expected.writes)) {
-      board.fail("write-set mismatch at tx " + std::to_string(i));
-      break;
-    }
-
-    apply_tx_writes(*post, out->writes, block_ctx.coinbase,
-                    out->result.fee());
-    gas_used += out->result.gas_used;
-
-    chain::Receipt receipt;
-    receipt.success = (out->result.vm_status == evm::Status::kSuccess);
-    receipt.gas_used = out->result.gas_used;
-    receipt.cumulative_gas = gas_used;
-    receipt.logs = std::move(out->result.logs);
-    outcome.exec.receipts.push_back(std::move(receipt));
   }
 
-  if (config_.threads > 1) workers.wait_idle();
+  if (config.threads > 1) workers.wait_idle();
 
   if (board.failed.load(std::memory_order_acquire)) {
-    outcome.valid = false;
     outcome.reject_reason = board.fail_reason;
-    outcome.stats.wall_ms = wall.elapsed_ms();
-    return outcome;
+    return;
   }
+  applier.finish(ledger.makespan());
+}
 
-  if (gas_used != block.header.gas_used) {
-    outcome.reject_reason = "header gas_used mismatch";
-    outcome.stats.wall_ms = wall.elapsed_ms();
-    return outcome;
-  }
+/// Block-STM replay (docs/blockstm.md §8) of the block's preset order.  The
+/// broadcast profile already names every transaction's write set; seeding
+/// those footprints as ESTIMATE markers (the DiPETrans idea of shipping the
+/// leader's conflict analysis to followers) turns the first incarnations'
+/// discovery phase into scheduled suspension.  With an honest profile the
+/// replay converges with zero aborts and zero validation waves.
+///
+/// Seeds are strictly a scheduling hint: they register as incarnation 0's
+/// write set, so the first real record() replaces them like any
+/// re-incarnation would.  A stale profile degrades to extra suspensions and
+/// waves (ValidatorStats::stm_*), never to a wrong result, because the
+/// converged replay equals the serial preset-order execution (Block-STM's
+/// determinism theorem) and the shared applier checks it like the oracle's.
+/// `lanes` null = the virtual clock (kBlockStm), else real pool lanes.
+void replay_block_stm(const ValidatorConfig& config,
+                      const state::WorldState& pre, const chain::Block& block,
+                      const chain::BlockProfile& profile,
+                      const evm::BlockContext& block_ctx, ThreadPool* lanes,
+                      ValidationOutcome& outcome) {
+  const std::size_t n = block.transactions.size();
+  state::MvMemory mv(pre, n);
+  // The override (tests) may be stale or mis-sized; clamp to the block.
+  const chain::BlockProfile& seeds = config.stm_seed_override != nullptr
+                                         ? *config.stm_seed_override
+                                         : profile;
+  const std::size_t seedable = std::min<std::size_t>(seeds.txs.size(), n);
+  for (std::size_t i = 0; i < seedable; ++i)
+    mv.seed_estimates(static_cast<std::uint32_t>(i), seeds.txs[i].writes);
 
-  if (chain::receipts_root(outcome.exec.receipts) !=
-      block.header.receipts_root) {
-    outcome.reject_reason = "receipts root mismatch";
-    outcome.stats.wall_ms = wall.elapsed_ms();
-    return outcome;
-  }
-  if (!(chain::block_bloom(outcome.exec.receipts) ==
-        block.header.logs_bloom)) {
-    outcome.reject_reason = "logs bloom mismatch";
-    outcome.stats.wall_ms = wall.elapsed_ms();
-    return outcome;
-  }
+  vtime::CostModel costs = config.costs;
+  if (config.prefetch) costs.io_read_cost = 0;
+  BlockStmRun run = run_block_stm(block.transactions, mv, block_ctx,
+                                  config.threads, costs, lanes);
+  outcome.stats.stm_aborts = run.aborts;
+  outcome.stats.stm_suspensions = run.suspensions;
+  outcome.stats.stm_validation_waves = run.validation_waves;
 
-  outcome.expected_state_root = block.header.state_root;
-  if (config_.seed_directory != nullptr)
-    post->adopt_block_seeds(config_.seed_directory->for_block(
-        block.header.hash()));
-  if (config_.commit_pipeline != nullptr) {
-    // ---- Block Commitment, asynchronous ----
-    // The root computation moves onto the commit pipeline; `valid` is
-    // provisional (execution-level) until await_commit() compares the root
-    // against the header.  The post state is sealed — nothing mutates it
-    // after submission.
-    outcome.commit = config_.commit_pipeline->submit(post);
-  } else {
-    const Hash256 root = post->state_root();
-    if (root != block.header.state_root) {
-      outcome.reject_reason = "state root mismatch";
-      outcome.stats.wall_ms = wall.elapsed_ms();
-      return outcome;
-    }
-    outcome.exec.state_root = root;
+  // The replay has quiesced: the applier consumes it in block order.
+  BlockApplier applier(config, pre, block, profile, outcome);
+  std::vector<StateKey> reads;
+  for (std::size_t i = 0; i < n; ++i) {
+    BlockStmTx& tx = run.txs[i];
+    reads.clear();
+    for (const auto& e : tx.reads) reads.push_back(e.key);
+    std::sort(reads.begin(), reads.end(),
+              state::state_key_less);  // log keys are already unique
+    if (!applier.apply(i, tx.result, reads, tx.writes)) return;
   }
-
-  // ---- ready for Block Commitment (caller appends to the ledger) ----
-  outcome.valid = true;
-  outcome.exec.profile = profile;
-  outcome.exec.gas_used = gas_used;
-  outcome.exec.post_state = std::move(post);
-  outcome.stats.serial_gas = gas_used;
-  outcome.stats.vtime_makespan = std::max(ledger.makespan(), applier_chain);
-  outcome.stats.wall_ms = wall.elapsed_ms();
-  return outcome;
+  applier.finish(run.makespan);
 }
 
 }  // namespace
@@ -305,28 +367,52 @@ ValidationOutcome BlockValidator::validate(const state::WorldState& pre,
                                            const chain::Block& block,
                                            const chain::BlockProfile& profile,
                                            ThreadPool& workers) {
+  BP_ASSERT(config_.threads >= 1);
+  Stopwatch wall;
+  ValidationOutcome outcome;
   ValidatorEngine engine = config_.engine;
-  if (engine == ValidatorEngine::kAdaptive) {
-    // The block's own profile carries the signal (it ships with the block,
-    // so it is available before execution starts).  A malformed profile
-    // resolves to the oracle, which rejects it the same way either engine
-    // would.
-    double ratio = 0.0;
-    if (!profile.txs.empty() &&
-        profile.txs.size() == block.transactions.size()) {
-      ratio = sched::build_dependency_graph(profile, config_.granularity)
-                  .largest_subgraph_ratio();
+  if (profile.txs.size() != block.transactions.size()) {
+    // Every engine rejects a malformed profile the same way; kAdaptive
+    // resolves to the oracle.
+    outcome.reject_reason = "profile size mismatch";
+    if (engine == ValidatorEngine::kAdaptive)
+      engine = ValidatorEngine::kSubgraphLpt;
+  } else {
+    // ---- Preparation phase ----
+    // The dependency-graph stats stay profile-derived for every engine, so
+    // the adaptive signal and the figure surfaces are engine-independent.
+    const sched::DependencyGraph graph =
+        sched::build_dependency_graph(profile, config_.granularity);
+    outcome.stats.subgraphs = graph.subgraphs.size();
+    outcome.stats.largest_subgraph_ratio = graph.largest_subgraph_ratio();
+    outcome.stats.critical_path_gas = graph.critical_path_gas();
+    // kAdaptive: the block's own profile carries the signal (it ships with
+    // the block, so it is available before execution starts).
+    if (engine == ValidatorEngine::kAdaptive) {
+      engine = outcome.stats.largest_subgraph_ratio > config_.adaptive_threshold
+                   ? ValidatorEngine::kBlockStm
+                   : ValidatorEngine::kSubgraphLpt;
     }
-    engine = ratio > config_.adaptive_threshold ? ValidatorEngine::kBlockStm
-                                                : ValidatorEngine::kSubgraphLpt;
+
+    evm::BlockContext block_ctx;
+    block_ctx.number = block.header.number;
+    block_ctx.timestamp = block.header.timestamp;
+    block_ctx.coinbase = block.header.coinbase;
+    block_ctx.gas_limit = block.header.gas_limit;
+    block_ctx.analysis_cache = config_.analysis_cache;
+
+    if (engine == ValidatorEngine::kSubgraphLpt) {
+      replay_subgraph_lpt(config_, pre, block, profile, graph, block_ctx,
+                          workers, outcome);
+    } else {
+      replay_block_stm(config_, pre, block, profile, block_ctx,
+                       engine == ValidatorEngine::kBlockStmHost ? &workers
+                                                                : nullptr,
+                       outcome);
+    }
   }
-  ValidationOutcome outcome =
-      engine == ValidatorEngine::kSubgraphLpt
-          ? validate_subgraph_lpt(config_, pre, block, profile, workers)
-          : detail::validate_block_stm(
-                config_, pre, block, profile, workers,
-                engine == ValidatorEngine::kBlockStmHost);
   outcome.stats.engine_used = engine;
+  outcome.stats.wall_ms = wall.elapsed_ms();
   return outcome;
 }
 

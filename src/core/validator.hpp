@@ -162,16 +162,4 @@ class BlockValidator {
   ValidatorConfig config_;
 };
 
-namespace detail {
-/// Block-STM replay path (validator_stm.cpp).  `config.engine` is ignored
-/// here — BlockValidator::validate resolves kAdaptive before dispatching
-/// and picks the twin via `host_threads` (false = DES virtual workers,
-/// true = real pool threads).
-ValidationOutcome validate_block_stm(const ValidatorConfig& config,
-                                     const state::WorldState& pre,
-                                     const chain::Block& block,
-                                     const chain::BlockProfile& profile,
-                                     ThreadPool& workers, bool host_threads);
-}  // namespace detail
-
 }  // namespace blockpilot::core

@@ -370,7 +370,7 @@ class EventDriver {
       core::ProposerConfig pcfg = pcfg_;
       if (pcfg.mode == core::ScheduleMode::kAdaptive)
         pcfg.adaptive_ratio_slot = &adaptive_ratio_[proposer_id];
-      core::OccWsiProposer proposer(pcfg);
+      core::BlockProposer proposer(pcfg);
       core::ProposedBlock blk = proposer.propose(
           nodes_[0]->session->tip(),
           ctx_for(ev.height, Address::from_id(0xFEE000 + proposer_id)), pool,
@@ -976,7 +976,7 @@ ConsensusSimResult ConsensusSim::run_batch_reference() {
       core::ProposerConfig cfg = pcfg;
       if (cfg.mode == core::ScheduleMode::kAdaptive)
         cfg.adaptive_ratio_slot = &adaptive_ratio[proposer_id];
-      core::OccWsiProposer proposer(cfg);
+      core::BlockProposer proposer(cfg);
       core::ProposedBlock blk = proposer.propose(
           *canonical_state,
           ctx_for(height, Address::from_id(0xFEE000 + proposer_id)), pool,

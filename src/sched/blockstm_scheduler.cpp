@@ -7,9 +7,7 @@
 namespace blockpilot::sched {
 
 BlockStmScheduler::BlockStmScheduler(std::size_t num_txns)
-    : n_(num_txns), txns_(std::make_unique<TxnState[]>(num_txns)) {
-  inflight_.reserve(64);
-}
+    : n_(num_txns), txns_(std::make_unique<TxnState[]>(num_txns)) {}
 
 bool BlockStmScheduler::done() const noexcept {
   // Safe for idle workers: a worker holding a task keeps num_active_tasks_
@@ -20,19 +18,6 @@ bool BlockStmScheduler::done() const noexcept {
   return num_active_tasks_.load(std::memory_order_seq_cst) == 0 &&
          execution_idx_.load(std::memory_order_seq_cst) >= n_ &&
          validation_idx_.load(std::memory_order_seq_cst) >= n_;
-}
-
-void BlockStmScheduler::track_begin(std::uint32_t txn) {
-  std::scoped_lock lk(inflight_mu_);
-  inflight_.push_back(txn);
-}
-
-void BlockStmScheduler::track_end(std::uint32_t txn) {
-  std::scoped_lock lk(inflight_mu_);
-  const auto it = std::find(inflight_.begin(), inflight_.end(), txn);
-  BP_ASSERT(it != inflight_.end());
-  *it = inflight_.back();
-  inflight_.pop_back();
 }
 
 void BlockStmScheduler::decrease_execution_idx(std::uint32_t to) {
@@ -57,11 +42,9 @@ void BlockStmScheduler::decrease_validation_idx(std::uint32_t to) {
 BlockStmScheduler::Task BlockStmScheduler::try_incarnate(std::uint32_t txn) {
   TxnState& t = txns_[txn];
   std::scoped_lock lk(t.mu);
-  if (t.status.load(std::memory_order_relaxed) == Status::kReady) {
-    t.status.store(Status::kExecuting, std::memory_order_relaxed);
-    track_begin(txn);
-    return {Task::Kind::kExecute, txn,
-            t.incarnation.load(std::memory_order_relaxed)};
+  if (t.status == Status::kReady) {
+    t.status = Status::kExecuting;
+    return {Task::Kind::kExecute, txn, t.incarnation};
   }
   return {};
 }
@@ -77,11 +60,8 @@ BlockStmScheduler::Task BlockStmScheduler::next_task() {
     if (idx < n_) {
       TxnState& t = txns_[idx];
       std::scoped_lock lk(t.mu);
-      if (t.status.load(std::memory_order_relaxed) == Status::kExecuted) {
-        track_begin(idx);
-        return {Task::Kind::kValidate, idx,
-                t.incarnation.load(std::memory_order_relaxed)};
-      }
+      if (t.status == Status::kExecuted)
+        return {Task::Kind::kValidate, idx, t.incarnation};
       // Not validatable right now; a later finish_execution re-lowers the
       // counter when this transaction becomes EXECUTED.
     }
@@ -103,9 +83,9 @@ BlockStmScheduler::Task BlockStmScheduler::finish_execution(
   {
     TxnState& t = txns_[txn];
     std::scoped_lock lk(t.mu);
-    BP_ASSERT(t.status.load(std::memory_order_relaxed) == Status::kExecuting);
-    BP_ASSERT(t.incarnation.load(std::memory_order_relaxed) == incarnation);
-    t.status.store(Status::kExecuted, std::memory_order_release);
+    BP_ASSERT(t.status == Status::kExecuting);
+    BP_ASSERT(t.incarnation == incarnation);
+    t.status = Status::kExecuted;
     resumed.swap(t.dependents);
   }
   if (!resumed.empty()) {
@@ -113,9 +93,8 @@ BlockStmScheduler::Task BlockStmScheduler::finish_execution(
     for (const std::uint32_t dep : resumed) {
       TxnState& d = txns_[dep];
       std::scoped_lock lk(d.mu);
-      BP_ASSERT(d.status.load(std::memory_order_relaxed) ==
-                Status::kSuspended);
-      d.status.store(Status::kReady, std::memory_order_relaxed);
+      BP_ASSERT(d.status == Status::kSuspended);
+      d.status = Status::kReady;
       min_resumed = std::min(min_resumed, dep);
     }
     decrease_execution_idx(min_resumed);
@@ -131,7 +110,6 @@ BlockStmScheduler::Task BlockStmScheduler::finish_execution(
       return {Task::Kind::kValidate, txn, incarnation};
     }
   }
-  track_end(txn);
   num_active_tasks_.fetch_sub(1, std::memory_order_seq_cst);
   return {};
 }
@@ -140,9 +118,8 @@ bool BlockStmScheduler::try_validation_abort(std::uint32_t txn,
                                              std::uint32_t incarnation) {
   TxnState& t = txns_[txn];
   std::scoped_lock lk(t.mu);
-  if (t.status.load(std::memory_order_relaxed) == Status::kExecuted &&
-      t.incarnation.load(std::memory_order_relaxed) == incarnation) {
-    t.status.store(Status::kAborting, std::memory_order_relaxed);
+  if (t.status == Status::kExecuted && t.incarnation == incarnation) {
+    t.status = Status::kAborting;
     aborts_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -155,11 +132,10 @@ BlockStmScheduler::Task BlockStmScheduler::finish_validation(
     {
       TxnState& t = txns_[txn];
       std::scoped_lock lk(t.mu);
-      BP_ASSERT(t.status.load(std::memory_order_relaxed) ==
-                Status::kAborting);
-      BP_ASSERT(t.incarnation.load(std::memory_order_relaxed) == incarnation);
-      t.status.store(Status::kReady, std::memory_order_relaxed);
-      t.incarnation.store(incarnation + 1, std::memory_order_relaxed);
+      BP_ASSERT(t.status == Status::kAborting);
+      BP_ASSERT(t.incarnation == incarnation);
+      t.status = Status::kReady;
+      t.incarnation = incarnation + 1;
     }
     // Everything after the aborted transaction may have read its (now
     // ESTIMATE) writes: re-cover the validation wave behind it.
@@ -168,13 +144,9 @@ BlockStmScheduler::Task BlockStmScheduler::finish_validation(
       // The execution counter already passed it: re-execute here rather
       // than strand the incarnation.  Task stays in flight.
       Task task = try_incarnate(txn);
-      if (task) {
-        track_end(txn);  // try_incarnate opened the replacement entry
-        return task;
-      }
+      if (task) return task;
     }
   }
-  track_end(txn);
   num_active_tasks_.fetch_sub(1, std::memory_order_seq_cst);
   return {};
 }
@@ -185,31 +157,14 @@ bool BlockStmScheduler::add_dependency(std::uint32_t txn,
   TxnState& b = txns_[blocking_txn];
   TxnState& t = txns_[txn];
   std::scoped_lock lk(b.mu, t.mu);
-  if (b.status.load(std::memory_order_relaxed) == Status::kExecuted)
+  if (b.status == Status::kExecuted)
     return false;  // resolved in the meantime — caller re-executes now
-  BP_ASSERT(t.status.load(std::memory_order_relaxed) == Status::kExecuting);
-  t.status.store(Status::kSuspended, std::memory_order_relaxed);
+  BP_ASSERT(t.status == Status::kExecuting);
+  t.status = Status::kSuspended;
   b.dependents.push_back(txn);
   suspensions_.fetch_add(1, std::memory_order_relaxed);
-  track_end(txn);
   num_active_tasks_.fetch_sub(1, std::memory_order_seq_cst);
   return true;
-}
-
-std::uint32_t BlockStmScheduler::stable_prefix() const {
-  std::scoped_lock lk(inflight_mu_);
-  std::uint64_t limit =
-      std::min<std::uint64_t>(execution_idx_.load(std::memory_order_seq_cst),
-                              validation_idx_.load(std::memory_order_seq_cst));
-  for (const std::uint32_t i : inflight_)
-    limit = std::min<std::uint64_t>(limit, i);
-  limit = std::min<std::uint64_t>(limit, n_);
-  while (stable_watermark_ < limit &&
-         txns_[stable_watermark_].status.load(std::memory_order_acquire) ==
-             Status::kExecuted) {
-    ++stable_watermark_;
-  }
-  return stable_watermark_;
 }
 
 }  // namespace blockpilot::sched

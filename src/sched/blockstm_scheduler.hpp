@@ -1,6 +1,7 @@
 // BlockStmScheduler: the collaborative scheduler of Block-STM (Gelashvili
-// et al., PPoPP 2022, Algorithms 2-4), driving the proposer's second
-// execution engine (core/engine_blockstm.cpp, docs/blockstm.md).
+// et al., PPoPP 2022, Algorithms 2-4), driven by the one Block-STM run the
+// proposer and the validator share (core/blockstm_run.cpp,
+// docs/blockstm.md).
 //
 // The block's transactions carry a preset order (their pool pop order); the
 // scheduler hands out two kinds of tasks over that order:
@@ -31,18 +32,14 @@
 //
 // Every task handed out must be closed by exactly one finish_* call (or
 // parked via a successful add_dependency); the scheduler is done when both
-// counters have passed the block and no task is in flight.  The stable
-// prefix — transactions [0, p) executed, validated, and no longer
-// reachable by any counter or in-flight task — only ever grows (every
-// counter decrease is performed by an in-flight task whose index bounds
-// the prefix), which is what lets the DES engine lazily commit receipts in
-// order while the tail is still speculating.
+// counters have passed the block and no task is in flight.  Outcomes are
+// final only then: until quiescence any executed transaction can still be
+// revalidated and aborted.
 //
-// Thread-safe: counters are seq_cst atomics, per-transaction status is
-// guarded by a per-transaction mutex (the paper's per-txn locks), and the
-// in-flight index multiset by one small mutex.  The virtual-time engine
-// drives it from a single thread (determinism); the host-threads engine
-// from real workers (the `stm` TSan gate).
+// Thread-safe: counters are seq_cst atomics and per-transaction status is
+// guarded by a per-transaction mutex (the paper's per-txn locks).  The
+// virtual clock drives it from a single thread (determinism); real lanes
+// drive it concurrently (the `stm` TSan gate).
 #pragma once
 
 #include <atomic>
@@ -102,11 +99,6 @@ class BlockStmScheduler {
   /// resume path re-issues the execution).
   bool add_dependency(std::uint32_t txn, std::uint32_t blocking_txn);
 
-  /// Transactions [0, stable_prefix()) are executed, validated, and can no
-  /// longer be aborted by anything in flight — safe to commit lazily.
-  /// Monotone (see file comment).
-  std::uint32_t stable_prefix() const;
-
   /// Total incarnation aborts (== re-executions scheduled).
   std::uint64_t aborts() const noexcept {
     return aborts_.load(std::memory_order_relaxed);
@@ -149,20 +141,15 @@ class BlockStmScheduler {
   };
 
   struct alignas(64) TxnState {
-    mutable std::mutex mu;  // guards transitions + dependents
-    // Atomic so stable_prefix() can read without taking the txn lock
-    // (avoids an inflight_mu_/txn-mutex order inversion); all transitions
-    // still happen under mu.
-    std::atomic<Status> status{Status::kReady};
-    std::atomic<std::uint32_t> incarnation{0};
+    std::mutex mu;  // guards every field below
+    Status status = Status::kReady;
+    std::uint32_t incarnation = 0;
     std::vector<std::uint32_t> dependents;  // suspended on this txn
   };
 
   Task try_incarnate(std::uint32_t txn);
   void decrease_execution_idx(std::uint32_t to);
   void decrease_validation_idx(std::uint32_t to);
-  void track_begin(std::uint32_t txn);
-  void track_end(std::uint32_t txn);
 
   const std::size_t n_;
   std::unique_ptr<TxnState[]> txns_;
@@ -172,11 +159,6 @@ class BlockStmScheduler {
   std::atomic<std::uint64_t> aborts_{0};
   std::atomic<std::uint64_t> validation_waves_{0};
   std::atomic<std::uint64_t> suspensions_{0};
-
-  // In-flight task indices (one entry per open task), for stable_prefix.
-  mutable std::mutex inflight_mu_;
-  std::vector<std::uint32_t> inflight_;       // unsorted multiset
-  mutable std::uint32_t stable_watermark_ = 0;
 };
 
 }  // namespace blockpilot::sched

@@ -68,7 +68,7 @@ TEST(Archive, ExportReplayIntoFreshNode) {
     ThreadPool workers(4);
     core::ProposerConfig pc;
     pc.threads = 4;
-    core::OccWsiProposer proposer(pc);
+    core::BlockProposer proposer(pc);
 
     for (std::uint64_t height = 1; height <= 6; ++height) {
       txpool::TxPool pool;

@@ -701,8 +701,9 @@ TEST_F(AsyncCommitFixture, ProposerAsyncSealMatchesInlineSeal) {
     core::ProposerConfig cfg;
     cfg.threads = 4;
     cfg.commit_pipeline = cp;
-    core::OccWsiProposer proposer(cfg);
-    return proposer.propose_virtual(genesis, ctx_for(1), pool);
+    core::BlockProposer proposer(cfg);
+    ThreadPool workers(1);  // the virtual-time engine never touches it
+    return proposer.propose(genesis, ctx_for(1), pool, workers);
   };
 
   const auto inline_sealed = propose(nullptr);
@@ -838,8 +839,10 @@ TEST_F(AsyncCommitFixture, BlockchainCommitsFromHandle) {
   core::ProposerConfig cfg;
   cfg.threads = 4;
   cfg.commit_pipeline = &pipe;
-  core::OccWsiProposer proposer(cfg);
-  auto proposed = proposer.propose_virtual(*bc.head_state(), ctx_for(1), pool);
+  core::BlockProposer proposer(cfg);
+  ThreadPool workers(1);  // the virtual-time engine never touches it
+  auto proposed =
+      proposer.propose(*bc.head_state(), ctx_for(1), pool, workers);
   ASSERT_TRUE(proposed.commit.valid());
 
   proposed.block.header.parent_hash = bc.head().header.hash();

@@ -537,7 +537,7 @@ TEST(DbChainParity, PagedStoreWithRestartMatchesStorelessChain) {
 
     core::ProposerConfig pc;
     pc.threads = 4;
-    core::OccWsiProposer proposer(pc);
+    core::BlockProposer proposer(pc);
     ChainRun& run = with_store ? stored : baseline;
 
     for (std::uint64_t height = 1; height <= kBlocks; ++height) {

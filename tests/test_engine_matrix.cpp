@@ -71,7 +71,7 @@ ProposedBlock propose_with(ScheduleMode mode, const state::WorldState& pre,
   ProposerConfig pc;
   pc.mode = mode;
   pc.threads = 4;
-  OccWsiProposer proposer(pc);
+  BlockProposer proposer(pc);
   ThreadPool workers(1);  // virtual-time engines never touch the pool
   return proposer.propose(pre, ctx_for(1), pool, workers);
 }
@@ -126,6 +126,9 @@ TEST(EngineMatrix, ProposerByValidatorAcrossRegimesSeedsAndThreads) {
       cfg.txs_per_block = 48;
       workload::WorkloadGenerator gen(cfg);
       const state::WorldState genesis = gen.genesis();
+      // Hash genesis once: every validation's post-state copy then rehashes
+      // only its dirty paths instead of the whole genesis trie.
+      (void)genesis.state_root();
       const auto txs = gen.next_block();
       for (const ScheduleMode pmode : proposers) {
         const ProposedBlock blk = propose_with(pmode, genesis, txs);
@@ -361,7 +364,7 @@ TEST(AdaptiveSelection, ProposerFlipsWithTheConflictRegime) {
   ProposerConfig pc;
   pc.mode = ScheduleMode::kAdaptive;
   pc.threads = 4;
-  OccWsiProposer proposer(pc);
+  BlockProposer proposer(pc);
   ThreadPool workers(1);
 
   auto tip = std::make_shared<const state::WorldState>(genesis);
@@ -387,7 +390,7 @@ TEST(AdaptiveSelection, ProposerFlipsWithTheConflictRegime) {
   cold.txs_per_block = 48;
   workload::WorkloadGenerator cold_gen(cold);
   const state::WorldState cold_genesis = cold_gen.genesis();
-  OccWsiProposer cold_proposer(pc);
+  BlockProposer cold_proposer(pc);
   auto cold_tip = std::make_shared<const state::WorldState>(cold_genesis);
   for (std::uint64_t h = 1; h <= 3; ++h) {
     txpool::TxPool pool;

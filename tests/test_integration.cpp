@@ -23,7 +23,7 @@ TEST(Integration, ProposeValidateCommitChain) {
 
   ProposerConfig pc;
   pc.threads = 4;
-  OccWsiProposer proposer(pc);
+  BlockProposer proposer(pc);
   ValidatorConfig vc;
   vc.threads = 4;
   BlockValidator validator(vc);
@@ -101,7 +101,7 @@ TEST(Integration, LongChainCorrectnessReplay) {
   ThreadPool workers(6);
   ProposerConfig pc;
   pc.threads = 6;
-  OccWsiProposer proposer(pc);
+  BlockProposer proposer(pc);
   ValidatorConfig vc;
   vc.threads = 6;
   BlockValidator validator(vc);
@@ -144,7 +144,7 @@ TEST(Integration, ForkCommitAndCanonicalSwitch) {
     pool.add_all(g.next_batch(20));
     ProposerConfig pcfg;
     pcfg.threads = 2;
-    OccWsiProposer p(pcfg);
+    BlockProposer p(pcfg);
     ProposedBlock blk =
         p.propose(*chain.head_state(), ctx_for(1), pool, workers);
     blk.block.header.parent_hash = chain.genesis_hash();
@@ -190,7 +190,7 @@ TEST(Integration, TokenConservationAcrossParallelExecution) {
   ProposerConfig pc;
   pc.threads = 8;
   const ProposedBlock blk =
-      OccWsiProposer(pc).propose(genesis, ctx_for(1), pool, workers);
+      BlockProposer(pc).propose(genesis, ctx_for(1), pool, workers);
   ASSERT_GT(blk.block.transactions.size(), 100u);
 
   EXPECT_EQ(token_supply(*blk.post_state, gen.token(0)), supply0);

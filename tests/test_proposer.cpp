@@ -28,7 +28,7 @@ struct ProposerFixture : ::testing::Test {
     pool.add_all(std::move(txs));
     ProposerConfig cfg;
     cfg.threads = threads;
-    OccWsiProposer proposer(cfg);
+    BlockProposer proposer(cfg);
     ThreadPool workers(std::max<std::size_t>(threads, 1));
     return proposer.propose(genesis, ctx_for(1), pool, workers);
   }
@@ -102,7 +102,7 @@ TEST_F(ProposerFixture, GasLimitBoundsBlock) {
   ProposerConfig cfg;
   cfg.threads = 4;
   cfg.block_gas_limit = 500'000;  // room for only a handful of txs
-  OccWsiProposer proposer(cfg);
+  BlockProposer proposer(cfg);
   ThreadPool workers(4);
   const auto block = proposer.propose(genesis, ctx_for(1), pool, workers);
   EXPECT_LE(block.block.header.gas_used, cfg.block_gas_limit);
@@ -117,7 +117,7 @@ TEST_F(ProposerFixture, MaxTxCapRespected) {
   ProposerConfig cfg;
   cfg.threads = 2;
   cfg.max_txs = 10;
-  OccWsiProposer proposer(cfg);
+  BlockProposer proposer(cfg);
   ThreadPool workers(2);
   const auto block = proposer.propose(genesis, ctx_for(1), pool, workers);
   EXPECT_EQ(block.block.transactions.size(), 10u);
@@ -131,7 +131,7 @@ TEST_F(ProposerFixture, HighContentionStillSerializable) {
   pool.add_all(hot.next_batch(60));
   ProposerConfig cfg;
   cfg.threads = 8;
-  OccWsiProposer proposer(cfg);
+  BlockProposer proposer(cfg);
   ThreadPool workers(8);
   const auto block = proposer.propose(hot_genesis, ctx_for(1), pool, workers);
   ASSERT_GT(block.block.transactions.size(), 0u);
@@ -177,7 +177,7 @@ TEST_F(ProposerFixture, LongAirdropNonceChainsCommitInOrder) {
   pool.add_all(airdrop_gen.next_batch(100));
   ProposerConfig cfg;
   cfg.threads = 16;
-  OccWsiProposer proposer(cfg);
+  BlockProposer proposer(cfg);
   ThreadPool workers(1);
   const auto block =
       proposer.propose(airdrop_genesis, ctx_for(1), pool, workers);
@@ -209,7 +209,7 @@ TEST_F(ProposerFixture, HostThreadsModeAlsoSerializable) {
   ProposerConfig cfg;
   cfg.threads = 4;
   cfg.mode = ScheduleMode::kHostThreads;
-  OccWsiProposer proposer(cfg);
+  BlockProposer proposer(cfg);
   ThreadPool workers(4);
   const auto block = proposer.propose(genesis, ctx_for(1), pool, workers);
   ASSERT_EQ(block.block.transactions.size(), 80u);
@@ -232,7 +232,7 @@ TEST_F(ProposerFixture, VirtualModeIsDeterministic) {
     pool.add_all(g.next_batch(60));
     ProposerConfig cfg;
     cfg.threads = 8;
-    OccWsiProposer proposer(cfg);
+    BlockProposer proposer(cfg);
     ThreadPool workers(1);
     return proposer.propose(genesis_state, ctx_for(1), pool, workers);
   };
@@ -268,7 +268,7 @@ TEST_P(ProposerSweep, SerializableUnderAllRegimes) {
   pool.add_all(gen.next_batch(64));
   ProposerConfig pc;
   pc.threads = threads;
-  OccWsiProposer proposer(pc);
+  BlockProposer proposer(pc);
   ThreadPool workers(threads);
   const auto block = proposer.propose(genesis, ctx_for(1), pool, workers);
 

@@ -204,7 +204,7 @@ TEST_F(ValidatorFixture, ValidatesOccWsiProposedBlock) {
   pool.add_all(gen.next_batch(90));
   ProposerConfig pc;
   pc.threads = 4;
-  OccWsiProposer proposer(pc);
+  BlockProposer proposer(pc);
   ThreadPool workers(8);
   const ProposedBlock proposed =
       proposer.propose(genesis, ctx_for(1), pool, workers);

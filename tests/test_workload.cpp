@@ -178,7 +178,7 @@ TEST(NftDrop, PresetIsSerializableUnderOcc) {
   pc.threads = 8;
   ThreadPool workers(1);
   const auto blk =
-      core::OccWsiProposer(pc).propose(genesis, make_ctx(), pool, workers);
+      core::BlockProposer(pc).propose(genesis, make_ctx(), pool, workers);
   ASSERT_GT(blk.block.transactions.size(), 0u);
 
   core::SerialOptions opts;
