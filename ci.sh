@@ -13,8 +13,9 @@
 # bit-identity plus cache hit-rate floors.
 # The stm-labeled suites (Block-STM scheduler, multi-version memory, the
 # cross-engine differential, the host-threads hammer, and the preemption
-# hammer that replays host-proposed blocks on a replica) run in the
-# default build and again under ThreadSanitizer (the tsan-stm preset).
+# hammer that replays Block-STM and OCC-WSI host-proposed blocks on a
+# replica) run in the default build and again under ThreadSanitizer (the
+# tsan-stm preset).
 # The db-labeled crash/recovery suites additionally run under combined
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a
 # tmpdir hygiene check: tests and benches must remove their page files.

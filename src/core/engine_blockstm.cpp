@@ -128,31 +128,13 @@ class BlockStmEngine final : public ExecutionEngine {
           break;
       }
     }
-    stats.wall_ms = wall.elapsed_ms();
 
     auto post = std::make_shared<state::WorldState>(pre);
     mv.flatten_into(*post);
-    const auto cb_key = state::StateKey::balance(block_ctx.coinbase);
-    if (!total_fees.is_zero())
-      post->set(cb_key, post->get(cb_key) + total_fees);
-
-    chain::BlockHeader& header = result.block.header;
-    header.number = block_ctx.number;
-    header.coinbase = block_ctx.coinbase;
-    header.timestamp = block_ctx.timestamp;
-    header.gas_limit = config_.block_gas_limit;
-    header.gas_used = gas_used;
-    header.tx_root = chain::transactions_root(result.block.transactions);
-    header.logs_bloom = chain::block_bloom(result.receipts);
-    result.post_state = std::move(post);
-    seal_commitment(result);
-
-    stats.committed = result.block.transactions.size();
     stats.aborts = run.aborts;
-    stats.serial_gas = gas_used;
     stats.vtime_makespan = run.makespan;
-    stats.engine_used = config_.mode;
-    result.stats = stats;
+    finish_block(result, std::move(post), block_ctx, gas_used, total_fees,
+                 stats, wall);
     return result;
   }
 

@@ -15,10 +15,13 @@
 //    dependencies and a collaborative scheduler; no serialized commit
 //    section at all (docs/blockstm.md).
 //
-// Each family has two realizations of the same algorithm: a deterministic
-// discrete-event simulation over virtual time (the figure-generating mode)
-// and a real-thread twin (the thread-safety mode).  ScheduleMode picks the
-// (family, realization) pair; make_execution_engine maps it to an engine.
+// Each family is ONE run of its algorithm with two clocks: a deterministic
+// discrete-event simulation over virtual lanes (the figure-generating mode)
+// and real-thread lanes on a ThreadPool (the thread-safety mode).  The
+// clock only decides how lanes are driven; the algorithm's steps and the
+// block tail (finish_block: post state, coinbase, header, seal) are shared.
+// ScheduleMode picks the (family, clock) pair; make_execution_engine maps
+// it to an engine.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include "core/engine_select.hpp"
 #include "core/execution_result.hpp"
 #include "evm/state_transition.hpp"
+#include "support/stopwatch.hpp"
 #include "support/thread_pool.hpp"
 #include "txpool/txpool.hpp"
 #include "vtime/vtime.hpp"
@@ -176,10 +180,18 @@ class ExecutionEngine {
   const ProposerConfig& config() const noexcept { return config_; }
 
  protected:
-  /// Fills the commitment-derived header fields (state root, receipts root)
-  /// inline, or queues them on config_.commit_pipeline.  Requires
-  /// result.post_state and result.receipts to be in place.
-  void seal_commitment(ProposedBlock& result);
+  /// The block tail every engine shares.  `post` is the pre state with the
+  /// run's versions flattened in; the coinbase is credited with the fee
+  /// sum, the header filled from `block_ctx` and `gas_used`, the
+  /// commitment (state root, receipts root) sealed inline or queued on
+  /// config_.commit_pipeline, and `stats` completed (committed, serial gas,
+  /// engine, wall time since `wall`) into result.stats.  Requires
+  /// result.block's transactions and result.receipts to be in place.
+  void finish_block(ProposedBlock& result,
+                    std::shared_ptr<state::WorldState> post,
+                    const evm::BlockContext& block_ctx, std::uint64_t gas_used,
+                    const U256& fees, ProposerStats stats,
+                    const Stopwatch& wall);
 
   ProposerConfig config_;
 };

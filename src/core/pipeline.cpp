@@ -36,7 +36,7 @@ std::uint64_t simulate_shared_workers(std::vector<PipelineJob> jobs,
   return makespan;
 }
 
-PipelineResult ValidatorPipeline::process_one_height(
+PipelineResult ValidatorPipeline::process_height_speculative(
     const state::WorldState& pre, std::span<const BlockBundle> siblings,
     ThreadPool& workers) {
   PipelineResult result;
@@ -121,7 +121,7 @@ PipelineResult ValidatorPipeline::process_one_height(
 PipelineResult ValidatorPipeline::process_height(
     const state::WorldState& pre, std::span<const BlockBundle> siblings,
     ThreadPool& workers) {
-  PipelineResult result = process_one_height(pre, siblings, workers);
+  PipelineResult result = process_height_speculative(pre, siblings, workers);
   // Single-height entry point: settle every pending root before returning,
   // so callers see final validity (same contract as the inline-commit mode).
   Stopwatch settle;
@@ -132,96 +132,6 @@ PipelineResult ValidatorPipeline::process_height(
   result.stats.commit_wait_ms = settle.elapsed_ms();
   result.stats.wall_ms += result.stats.commit_wait_ms;
   return result;
-}
-
-PipelineResult ValidatorPipeline::process_height_speculative(
-    const state::WorldState& pre, std::span<const BlockBundle> siblings,
-    ThreadPool& workers) {
-  return process_one_height(pre, siblings, workers);
-}
-
-PipelineResult ValidatorPipeline::process_chain(
-    const state::WorldState& pre,
-    std::span<const std::vector<BlockBundle>> heights, ThreadPool& workers) {
-  PipelineResult total;
-  Stopwatch wall;
-  const state::WorldState* parent_state = &pre;
-  std::shared_ptr<const state::WorldState> holder;  // keeps parent alive
-
-  // Per round: [first, first+count) in total.outcomes, and the index of the
-  // speculatively-chosen canonical sibling (SIZE_MAX when the chain stalled
-  // at this round).
-  struct Round {
-    std::size_t first = 0;
-    std::size_t count = 0;
-    std::size_t canonical = SIZE_MAX;
-  };
-  std::vector<Round> rounds;
-
-  for (const auto& siblings : heights) {
-    PipelineResult round = process_one_height(
-        *parent_state, std::span(siblings.data(), siblings.size()), workers);
-
-    // Canonical branch: first (execution-)valid sibling of this height.
-    // With async commitment this selection is *speculative* — the root
-    // check is still in flight on the commit pipeline while the next
-    // height starts executing on top of this post state; the settle pass
-    // below re-checks it once the roots land.  On honest chains the
-    // speculation never fails, which is exactly the §5.2 overlap: block
-    // h's commitment runs concurrently with block h+1's execution.
-    Round record;
-    record.first = total.outcomes.size();
-    record.count = round.outcomes.size();
-    std::shared_ptr<const state::WorldState> canonical_state;
-    for (std::size_t i = 0; i < round.outcomes.size(); ++i) {
-      if (round.outcomes[i].valid) {
-        canonical_state = round.outcomes[i].exec.post_state;
-        record.canonical = record.first + i;
-        break;
-      }
-    }
-
-    total.stats.serial_gas += round.stats.serial_gas;
-    // Heights serialize in the validation phase (Fig. 5): the next height's
-    // commit depends on this height's final state.
-    total.stats.vtime_makespan += round.stats.vtime_makespan;
-    total.stats.blocks += round.stats.blocks;
-    for (auto& o : round.outcomes) total.outcomes.push_back(std::move(o));
-    rounds.push_back(record);
-
-    if (canonical_state == nullptr) break;  // no valid block: chain stalls
-    holder = std::move(canonical_state);
-    parent_state = holder.get();
-  }
-
-  // ---- settle: await pending roots in chain order ----
-  // A late root mismatch on a canonical block invalidates everything built
-  // on top of it (the speculation consumed a state that was never
-  // committed), mirroring how a real client truncates to the last
-  // committed block.
-  Stopwatch settle;
-  bool chain_ok = true;
-  for (const Round& r : rounds) {
-    for (std::size_t i = r.first; i < r.first + r.count; ++i) {
-      ValidationOutcome& o = total.outcomes[i];
-      if (o.commit.valid()) ++total.stats.async_commits;
-      if (!chain_ok) {
-        if (o.valid) {
-          o.valid = false;
-          o.reject_reason = "parent block failed commitment";
-        }
-        continue;
-      }
-      o.await_commit();
-    }
-    if (chain_ok &&
-        (r.canonical == SIZE_MAX || !total.outcomes[r.canonical].valid))
-      chain_ok = false;
-  }
-  total.stats.commit_wait_ms = settle.elapsed_ms();
-
-  total.stats.wall_ms = wall.elapsed_ms();
-  return total;
 }
 
 // ---- ChainSession ----
@@ -242,8 +152,8 @@ std::size_t ChainSession::push_height(std::span<const BlockBundle> siblings,
   }
   rec.outcomes = std::move(round.outcomes);
   stats_.serial_gas += round.stats.serial_gas;
-  // Heights serialize in the validation phase (same rule as process_chain):
-  // the next height's execution consumes this height's final state.
+  // Heights serialize in the validation phase (Fig. 5): the next height's
+  // execution consumes this height's final state.
   stats_.vtime_makespan += round.stats.vtime_makespan;
   stats_.blocks += round.stats.blocks;
   stats_.wall_ms += round.stats.wall_ms;

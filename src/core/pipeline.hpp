@@ -51,7 +51,7 @@ struct PipelineConfig {
   bool concurrent_blocks = true;
   /// When set, per-block state-root computation runs asynchronously on
   /// this pipeline.  process_height() settles roots before returning;
-  /// process_chain() overlaps height h's commitment with height h+1's
+  /// ChainSession overlaps height h's commitment with height h+1's
   /// execution, selecting the canonical branch speculatively and cascading
   /// invalidation if a root check later fails ("parent block failed
   /// commitment").
@@ -109,31 +109,18 @@ class ValidatorPipeline {
       const state::WorldState& pre, std::span<const BlockBundle> siblings,
       ThreadPool& workers);
 
-  /// Validates a chain of heights; heights[i] holds the sibling blocks of
-  /// height i.  The canonical branch follows the first valid block of each
-  /// height.  Virtual time charges same-height overlap but serializes
-  /// across heights (a child's validation needs its parent's final state).
-  PipelineResult process_chain(
-      const state::WorldState& pre,
-      std::span<const std::vector<BlockBundle>> heights, ThreadPool& workers);
-
   const PipelineConfig& config() const noexcept { return config_; }
 
  private:
-  PipelineResult process_one_height(const state::WorldState& pre,
-                                    std::span<const BlockBundle> siblings,
-                                    ThreadPool& workers);
-
   PipelineConfig config_;
 };
 
 /// ChainSession: height-granular chain validation for an event-driven node.
 ///
-/// process_chain() consumes a whole fork tree at once and settles in a
-/// post-hoc pass; a live node instead receives one height's siblings at a
-/// time, votes, keeps executing ahead while commitments are still in
-/// flight, and must be able to *revoke* a speculative suffix when a
-/// settlement fails.  ChainSession is that incremental surface:
+/// A live node receives one height's siblings at a time, votes, keeps
+/// executing ahead while commitments are still in flight, and must be able
+/// to *revoke* a speculative suffix when a settlement fails.  ChainSession
+/// is that incremental surface (and the only chain-validation path):
 ///
 ///   push_height()  speculatively validates the next height's siblings on
 ///                  the current tip (roots pending on the commit pipeline);
@@ -148,10 +135,11 @@ class ValidatorPipeline {
 ///                  revocation callback per dropped height so the node can
 ///                  retract votes and re-propose.
 ///
-/// Speculation safety mirrors process_chain(): heights build on the first
-/// execution-valid sibling (or the explicitly chosen one) before its root
-/// is known, which is exactly the paper's §5.2 overlap of commitment with
-/// the next block's execution.
+/// Speculation safety: heights build on the first execution-valid sibling
+/// (or the explicitly chosen one) before its root is known, which is
+/// exactly the paper's §5.2 overlap of commitment with the next block's
+/// execution.  Heights serialize in virtual time (a child's validation
+/// needs its parent's final state).
 class ChainSession {
  public:
   /// Invoked by adopt_fork() once per truncated height index (ascending),
@@ -219,8 +207,7 @@ class ChainSession {
   void adopt_fork(std::size_t height, std::size_t sibling);
 
   /// Marks every outcome from `height` on invalid ("parent block failed
-  /// commitment") — the no-survivor terminal path, matching the batch
-  /// cascade's bookkeeping.
+  /// commitment") — the no-survivor terminal path.
   void cascade_from(std::size_t height);
 
   std::size_t height_count() const noexcept { return heights_.size(); }

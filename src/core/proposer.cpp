@@ -64,17 +64,44 @@ std::unique_ptr<ExecutionEngine> make_execution_engine(
   return detail::make_occ_wsi_engine(config, is_host_threads(config.mode));
 }
 
-void ExecutionEngine::seal_commitment(ProposedBlock& result) {
-  if (config_.commit_pipeline == nullptr) {
-    result.block.header.state_root = result.post_state->state_root();
-    result.block.header.receipts_root = chain::receipts_root(result.receipts);
-    return;
+void ExecutionEngine::finish_block(ProposedBlock& result,
+                                   std::shared_ptr<state::WorldState> post,
+                                   const evm::BlockContext& block_ctx,
+                                   std::uint64_t gas_used, const U256& fees,
+                                   ProposerStats stats, const Stopwatch& wall) {
+  // Fees stay out of every tracked write set (DESIGN.md decision 8):
+  // crediting them per transaction would make every transaction conflict
+  // through the coinbase balance.
+  if (!fees.is_zero()) {
+    const auto cb_key = state::StateKey::balance(block_ctx.coinbase);
+    post->set(cb_key, post->get(cb_key) + fees);
   }
-  // Receipts root rides along as the aux root so the whole commitment —
-  // not just the state root — leaves the proposer's critical path.
-  result.commit = config_.commit_pipeline->submit(
-      result.post_state,
-      [receipts = result.receipts] { return chain::receipts_root(receipts); });
+  chain::BlockHeader& header = result.block.header;
+  header.number = block_ctx.number;
+  header.coinbase = block_ctx.coinbase;
+  header.timestamp = block_ctx.timestamp;
+  header.gas_limit = config_.block_gas_limit;
+  header.gas_used = gas_used;
+  header.tx_root = chain::transactions_root(result.block.transactions);
+  header.logs_bloom = chain::block_bloom(result.receipts);
+  result.post_state = std::move(post);
+  if (config_.commit_pipeline == nullptr) {
+    header.state_root = result.post_state->state_root();
+    header.receipts_root = chain::receipts_root(result.receipts);
+  } else {
+    // Receipts root rides along as the aux root so the whole commitment —
+    // not just the state root — leaves the proposer's critical path.
+    result.commit = config_.commit_pipeline->submit(
+        result.post_state, [receipts = result.receipts] {
+          return chain::receipts_root(receipts);
+        });
+  }
+
+  stats.committed = result.block.transactions.size();
+  stats.serial_gas = gas_used;
+  stats.engine_used = config_.mode;
+  stats.wall_ms = wall.elapsed_ms();
+  result.stats = stats;
 }
 
 void ProposedBlock::await_seal() {

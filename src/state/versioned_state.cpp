@@ -1,6 +1,7 @@
 #include "state/versioned_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -69,9 +70,12 @@ bool VersionedState::packed_read(const StateKey& key,
 void VersionedState::packed_publish(const StateKey& key, const U256& value,
                                     std::uint64_t version) {
   PackedSlot& p = packed_[(key.hash >> 6) & (kPackedSlots - 1)];
-  const std::uint64_t s = p.seq.load(std::memory_order_relaxed);
-  p.seq.store(s + 1, std::memory_order_relaxed);  // odd: writers are
-  std::atomic_thread_fence(std::memory_order_release);  // serialized
+  // Odd before the payload, whatever the slot held: an invalidated slot is
+  // already odd, and bumping it to even here would let readers accept the
+  // dead key's payload mid-write.  Writers are serialized.
+  const std::uint64_t s = p.seq.load(std::memory_order_relaxed) | 1;
+  p.seq.store(s, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   const std::array<std::uint64_t, 3> ka = pack_address(key.addr);
   p.addr[0].store(ka[0], std::memory_order_relaxed);
   p.addr[1].store(ka[1], std::memory_order_relaxed);
@@ -83,7 +87,7 @@ void VersionedState::packed_publish(const StateKey& key, const U256& value,
     p.value[i].store(value.limb(i), std::memory_order_relaxed);
   }
   p.version.store(version, std::memory_order_relaxed);
-  p.seq.store(s + 2, std::memory_order_release);  // even: readable
+  p.seq.store(s + 1, std::memory_order_release);  // even: readable
 }
 
 void VersionedState::packed_invalidate(const StateKey& key) {
@@ -198,13 +202,16 @@ bool VersionedState::newer_than(const StateKey& key,
 
 // -- commits ----------------------------------------------------------------
 
-void VersionedState::enqueue_commit(
+std::uint64_t VersionedState::enqueue_commit(
     const std::vector<std::pair<StateKey, U256>>& write_set,
     std::uint64_t version) {
   BP_ASSERT_MSG(version > enqueued_version_,
                 "commit versions must be strictly increasing");
   enqueued_version_ = version;
+  static_assert(kStripeCount <= 64);
+  std::uint64_t stripes = 0;  // bitmask of touched stripes
   for (const auto& [key, value] : write_set) {
+    stripes |= 1ull << (key.hash & (kStripeCount - 1));
     Stripe& s = stripe_for(key.hash);
     std::size_t prior_versions = 0;
     {
@@ -228,22 +235,17 @@ void VersionedState::enqueue_commit(
     // observes the raised stamp and takes the slow path must find it.
     stamp_for(key.hash).store(version, std::memory_order_release);
   }
+  return stripes;
 }
 
-void VersionedState::apply_commit(
-    const std::vector<std::pair<StateKey, U256>>& write_set,
-    std::uint64_t version) {
+void VersionedState::apply_commit(std::uint64_t stripes,
+                                  std::uint64_t version) {
   // Drain every touched stripe up to `version`.  Entries of EARLIER
   // versions still pending there are drained too (work stealing): pending
   // queues are version-ordered, so a forward scan preserves per-key chain
   // order, and a stripe is never drained past the version in hand.
-  std::uint64_t drained_stripes = 0;  // bitmask: kStripeCount == 64
-  static_assert(kStripeCount <= 64);
-  for (const auto& [key, value] : write_set) {
-    const std::size_t idx = key.hash & (kStripeCount - 1);
-    if (drained_stripes & (1ull << idx)) continue;
-    drained_stripes |= 1ull << idx;
-    Stripe& s = stripes_[idx];
+  for (; stripes != 0; stripes &= stripes - 1) {
+    Stripe& s = stripes_[std::countr_zero(stripes)];
     std::unique_lock lk(s.mu);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < s.pending.size(); ++i) {
@@ -270,8 +272,7 @@ void VersionedState::apply_commit(
 void VersionedState::commit(
     const std::vector<std::pair<StateKey, U256>>& write_set,
     std::uint64_t version) {
-  enqueue_commit(write_set, version);
-  apply_commit(write_set, version);
+  apply_commit(enqueue_commit(write_set, version), version);
 }
 
 void VersionedState::flatten_into(WorldState& out) const {

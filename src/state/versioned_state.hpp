@@ -31,26 +31,29 @@
 //     slot table, so snapshot reads of single-version keys — most written
 //     keys in a typical block — are served lock-free without touching the
 //     stripe.  The slot stores the full key (exact match, never by hash)
-//     and is invalidated the moment the key gains a second version;
+//     and is invalidated the moment the key gains a second version.
+//     Seqlock parity invariant: seq is odd whenever the payload is not a
+//     live single-version key — mid-write or invalidated ("dead") — and
+//     even only after a complete publish.  A publish into a dead slot
+//     therefore keeps seq odd while it rewrites the payload;
 //  4. ReadCache memoizes snapshot reads per executor thread, revalidated
 //     against the stamps, so re-executions of aborted transactions skip the
 //     stripe locks for every key whose stamp did not advance.
 //
-// Commit is split into two halves so host-threads proposers can overlap
-// the heavy part (paper §4.2's serialized commit section shrinks to the
-// decision):
+// Commit is split into two halves so real-thread proposer lanes can
+// overlap the heavy part (paper §4.2's serialized commit section shrinks to
+// the decision).  The OCC-WSI engine uses the split on both clocks:
 //
 //  * enqueue_commit(ws, v) — called under the proposer's commit lock —
 //    appends the writes to their stripes' pending queues, maintains the
-//    packed slots, and raises the stamps;
-//  * apply_commit(ws, v) — called OUTSIDE the lock — drains every touched
-//    stripe's pending queue up to v into the version chains (stealing
+//    packed slots, and raises the stamps; it returns the touched stripes;
+//  * apply_commit(stripes, v) — called OUTSIDE the lock — drains those
+//    stripes' pending queues up to v into the version chains (stealing
 //    earlier versions' stragglers, which preserves per-key version order),
 //    then ticket-waits for version v-1 and release-publishes v.  Disjoint
 //    write sets drain disjoint stripes concurrently.
 //
-// commit(ws, v) = enqueue + apply inline (the serialized-caller path; the
-// virtual-time engines and validators use it unchanged).
+// commit(ws, v) = enqueue + apply inline, for single-threaded callers.
 //
 // Publication order makes the lock-free fast paths sound: a write is
 // appended to its stripe (pending queue, later chain) under the stripe
@@ -139,16 +142,17 @@ class VersionedState {
   /// First half of a split commit (see file comment).  Callers must be
   /// serialized (the proposer's commit lock) and versions strictly
   /// increasing.  After it returns, the version is decided: newer_than and
-  /// latest_version observe it.
-  void enqueue_commit(const std::vector<std::pair<StateKey, U256>>& write_set,
-                      std::uint64_t version);
+  /// latest_version observe it.  Returns the touched stripes (a bitmask)
+  /// for apply_commit, so the caller may hand the write set on.
+  std::uint64_t enqueue_commit(
+      const std::vector<std::pair<StateKey, U256>>& write_set,
+      std::uint64_t version);
 
-  /// Second half: drains the touched stripes and publishes `version`.
-  /// Safe to run concurrently with other versions' apply_commit calls and
-  /// with snapshot readers; blocks until version-1 is published.  Must be
-  /// called exactly once per enqueue_commit, with the same arguments.
-  void apply_commit(const std::vector<std::pair<StateKey, U256>>& write_set,
-                    std::uint64_t version);
+  /// Second half: drains `stripes` and publishes `version`.  Safe to run
+  /// concurrently with other versions' apply_commit calls and with
+  /// snapshot readers; blocks until version-1 is published.  Must be
+  /// called exactly once per enqueue_commit, with its result.
+  void apply_commit(std::uint64_t stripes, std::uint64_t version);
 
   /// Highest committed version (0 before the first commit).  Lock-free.
   std::uint64_t committed_version() const noexcept {
@@ -189,7 +193,8 @@ class VersionedState {
   /// Seqlocked single-version-key slot (packing layer 3).  All payload
   /// words are relaxed atomics so the torn-read window is race-free under
   /// TSan; the seq acquire/release pair orders them.  A slot is readable
-  /// when seq is even and unchanged across the payload copy.
+  /// when seq is even and unchanged across the payload copy (the parity
+  /// invariant in the file comment).
   struct alignas(64) PackedSlot {
     std::atomic<std::uint64_t> seq{0};
     // addr[0..2]: 20 address bytes little-packed; meta: Field tag;
@@ -217,8 +222,9 @@ class VersionedState {
   /// holds `key` at a version <= snapshot_version.
   bool packed_read(const StateKey& key, std::uint64_t snapshot_version,
                    U256& out) const;
-  /// Publishes (key, value, version) into the key's packed slot.  Caller =
-  /// the serialized enqueue path (single writer).
+  /// Publishes (key, value, version) into the key's packed slot: seq goes
+  /// odd (s | 1) before the payload and to the next even value after it.
+  /// Caller = the serialized enqueue path (single writer).
   void packed_publish(const StateKey& key, const U256& value,
                       std::uint64_t version);
   /// Invalidates the key's packed slot if it currently holds `key` (the

@@ -473,43 +473,51 @@ TEST(BlockStmHammer, HostBlocksPassReplicaUnderPreemption) {
   // A Block-STM outcome is final only once the scheduler quiesces: any
   // executed transaction can still be revalidated and aborted before that.
   // A proposer that materializes receipts or profile entries earlier can
-  // seal a stale incarnation next to the final post state.  Preemption
-  // widens every such window; the subgraph-LPT replica, replaying each
-  // block on its parent, rejects any block where this happened.
-  const std::uint64_t seeds = kSanitized ? 1 : 4;
+  // seal a stale incarnation next to the final post state.  The OCC-WSI
+  // real-thread lanes race on the versioned state's lock-free read paths
+  // instead: a stale snapshot read that validation misses commits a wrong
+  // write set.  Preemption widens every such window; the subgraph-LPT
+  // replica, replaying each block on its parent, rejects any block where
+  // this happened.
   const std::uint64_t heights = kSanitized ? 2 : 8;
   const std::size_t txs_per_block = kSanitized ? 200 : 600;
   CpuSpinners spinners;
   ThreadPool workers(8);
-  for (std::uint64_t s = 0; s < seeds; ++s) {
-    workload::WorkloadConfig wc = workload::preset_high_conflict();
-    wc.seed = 0x9E3 + s * 7919;
-    wc.txs_per_block = txs_per_block;
-    workload::WorkloadGenerator gen(wc);
-    auto parent = std::make_shared<const WorldState>(gen.genesis());
+  for (const ScheduleMode mode :
+       {ScheduleMode::kBlockStmHost, ScheduleMode::kHostThreads}) {
+    const std::uint64_t seeds =
+        kSanitized ? 1 : (mode == ScheduleMode::kHostThreads ? 1 : 4);
+    for (std::uint64_t s = 0; s < seeds; ++s) {
+      workload::WorkloadConfig wc = workload::preset_high_conflict();
+      wc.seed = 0x9E3 + s * 7919;
+      wc.txs_per_block = txs_per_block;
+      workload::WorkloadGenerator gen(wc);
+      auto parent = std::make_shared<const WorldState>(gen.genesis());
 
-    ProposerConfig pc;
-    pc.mode = ScheduleMode::kBlockStmHost;
-    pc.threads = 8;
-    pc.max_txs = txs_per_block;
-    pc.block_gas_limit = 200'000'000;  // the tx cap binds, not the gas
-    BlockProposer proposer(pc);
-    ValidatorConfig vc;
-    vc.engine = ValidatorEngine::kSubgraphLpt;
-    vc.threads = 4;
-    BlockValidator validator(vc);
+      ProposerConfig pc;
+      pc.mode = mode;
+      pc.threads = 8;
+      pc.max_txs = txs_per_block;
+      pc.block_gas_limit = 200'000'000;  // the tx cap binds, not the gas
+      BlockProposer proposer(pc);
+      ValidatorConfig vc;
+      vc.engine = ValidatorEngine::kSubgraphLpt;
+      vc.threads = 4;
+      BlockValidator validator(vc);
 
-    txpool::TxPool pool;
-    for (std::uint64_t h = 1; h <= heights; ++h) {
-      pool.add_all(gen.next_block());
-      const ProposedBlock block =
-          proposer.propose(*parent, ctx_for(h), pool, workers);
-      ASSERT_GT(block.block.transactions.size(), 0u);
-      const ValidationOutcome outcome =
-          validator.validate(*parent, block.block, block.profile, workers);
-      ASSERT_TRUE(outcome.valid) << "seed " << s << " height " << h << ": "
-                                 << outcome.reject_reason;
-      parent = block.post_state;
+      txpool::TxPool pool;
+      for (std::uint64_t h = 1; h <= heights; ++h) {
+        pool.add_all(gen.next_block());
+        const ProposedBlock block =
+            proposer.propose(*parent, ctx_for(h), pool, workers);
+        ASSERT_GT(block.block.transactions.size(), 0u);
+        const ValidationOutcome outcome =
+            validator.validate(*parent, block.block, block.profile, workers);
+        ASSERT_TRUE(outcome.valid) << "mode " << static_cast<int>(mode)
+                                   << " seed " << s << " height " << h << ": "
+                                   << outcome.reject_reason;
+        parent = block.post_state;
+      }
     }
   }
 }

@@ -784,25 +784,33 @@ TEST_F(AsyncCommitFixture, PipelineAsyncMatchesSyncOverChain) {
   async_cfg.commit_pipeline = &pipe;
 
   ThreadPool workers(4);
-  const auto sync_result = core::ValidatorPipeline(sync_cfg).process_chain(
-      genesis, std::span(heights), workers);
-  const auto async_result = core::ValidatorPipeline(async_cfg).process_chain(
-      genesis, std::span(heights), workers);
+  core::ChainSession sync_session(sync_cfg, genesis);
+  core::ChainSession async_session(async_cfg, genesis);
+  // Async: push every height before settling any, so each height's root
+  // check overlaps the next height's execution.
+  for (const auto& siblings : heights) {
+    sync_session.push_height(std::span(siblings), workers);
+    EXPECT_TRUE(sync_session.settle_next());
+    async_session.push_height(std::span(siblings), workers);
+  }
+  while (async_session.can_settle()) EXPECT_TRUE(async_session.settle_next());
 
-  ASSERT_EQ(sync_result.outcomes.size(), async_result.outcomes.size());
-  EXPECT_EQ(async_result.stats.async_commits, 3u);
-  for (std::size_t i = 0; i < sync_result.outcomes.size(); ++i) {
-    EXPECT_EQ(sync_result.outcomes[i].valid, async_result.outcomes[i].valid)
-        << async_result.outcomes[i].reject_reason;
-    EXPECT_EQ(sync_result.outcomes[i].exec.state_root,
-              async_result.outcomes[i].exec.state_root);
+  ASSERT_EQ(sync_session.height_count(), async_session.height_count());
+  EXPECT_EQ(sync_session.stats().async_commits, 0u);
+  EXPECT_EQ(async_session.stats().async_commits, 3u);
+  for (std::size_t h = 0; h < sync_session.height_count(); ++h) {
+    EXPECT_EQ(sync_session.outcome(h, 0).valid,
+              async_session.outcome(h, 0).valid)
+        << async_session.outcome(h, 0).reject_reason;
+    EXPECT_EQ(sync_session.outcome(h, 0).exec.state_root,
+              async_session.outcome(h, 0).exec.state_root);
   }
 }
 
 TEST_F(AsyncCommitFixture, PipelineCascadesParentCommitFailure) {
   // Height 1's only block carries a tampered state root: execution-valid,
   // commitment-invalid.  The speculatively-validated height 2 must be
-  // invalidated by the settle pass.
+  // invalidated once height 1 fails to settle.
   auto b1 = bundle_from(genesis, gen.next_batch(20), 1);
   core::SerialOptions opts;
   opts.drop_unincludable = false;
@@ -819,14 +827,20 @@ TEST_F(AsyncCommitFixture, PipelineCascadesParentCommitFailure) {
   cfg.workers = 4;
   cfg.commit_pipeline = &pipe;
   ThreadPool workers(4);
-  const auto result = core::ValidatorPipeline(cfg).process_chain(
-      genesis, std::span(heights), workers);
+  core::ChainSession session(cfg, genesis);
+  for (const auto& siblings : heights)
+    ASSERT_EQ(session.push_height(std::span(siblings), workers), 0u);
+  // Height 2 executed on height 1's speculative tip before the root landed.
+  EXPECT_TRUE(session.outcome(1, 0).valid);
+  EXPECT_FALSE(session.settle_next());
+  EXPECT_EQ(session.fork_choice(0), SIZE_MAX);
+  session.cascade_from(1);
 
-  ASSERT_EQ(result.outcomes.size(), 2u);
-  EXPECT_FALSE(result.outcomes[0].valid);
-  EXPECT_EQ(result.outcomes[0].reject_reason, "state root mismatch");
-  EXPECT_FALSE(result.outcomes[1].valid);
-  EXPECT_EQ(result.outcomes[1].reject_reason, "parent block failed commitment");
+  EXPECT_FALSE(session.outcome(0, 0).valid);
+  EXPECT_EQ(session.outcome(0, 0).reject_reason, "state root mismatch");
+  EXPECT_FALSE(session.outcome(1, 0).valid);
+  EXPECT_EQ(session.outcome(1, 0).reject_reason,
+            "parent block failed commitment");
 }
 
 TEST_F(AsyncCommitFixture, BlockchainCommitsFromHandle) {

@@ -107,14 +107,19 @@ TEST_F(PipelineFixture, ChainedHeightsThreadState) {
   const std::vector<std::vector<BlockBundle>> heights = {{b1}, {b2}};
   PipelineConfig cfg;
   cfg.workers = 4;
-  ValidatorPipeline pipeline(cfg);
   ThreadPool workers(4);
-  const auto result =
-      pipeline.process_chain(genesis, std::span(heights), workers);
-  ASSERT_EQ(result.outcomes.size(), 2u);
-  EXPECT_TRUE(result.outcomes[0].valid) << result.outcomes[0].reject_reason;
-  EXPECT_TRUE(result.outcomes[1].valid) << result.outcomes[1].reject_reason;
-  EXPECT_EQ(result.stats.blocks, 2u);
+  ChainSession session(cfg, genesis);
+  for (const auto& siblings : heights) {
+    ASSERT_EQ(session.push_height(std::span(siblings), workers), 0u);
+    EXPECT_TRUE(session.settle_next());
+  }
+  ASSERT_EQ(session.height_count(), 2u);
+  EXPECT_TRUE(session.outcome(0, 0).valid)
+      << session.outcome(0, 0).reject_reason;
+  EXPECT_TRUE(session.outcome(1, 0).valid)
+      << session.outcome(1, 0).reject_reason;
+  EXPECT_EQ(session.tip().state_root(), session.outcome(1, 0).exec.state_root);
+  EXPECT_EQ(session.stats().blocks, 2u);
 }
 
 TEST_F(PipelineFixture, InvalidSiblingDoesNotPoisonOthers) {
@@ -131,43 +136,6 @@ TEST_F(PipelineFixture, InvalidSiblingDoesNotPoisonOthers) {
       pipeline.process_height(genesis, std::span(siblings), workers);
   EXPECT_TRUE(result.outcomes[0].valid);
   EXPECT_FALSE(result.outcomes[1].valid);
-}
-
-TEST_F(PipelineFixture, ChainSessionMatchesProcessChain) {
-  // Height-granular push/settle over the same chain must reproduce the
-  // batch entry point bit-for-bit: depth-0 operation is the old settle
-  // pass, just re-sliced.
-  const BlockBundle b1 = bundle_from(genesis, gen.next_batch(30), 1);
-  SerialOptions opts;
-  opts.drop_unincludable = false;
-  const SerialResult r1 = execute_serial(genesis, ctx_for(1),
-                                         std::span(b1.block.transactions), opts);
-  ASSERT_TRUE(r1.ok);
-  const BlockBundle b2 =
-      bundle_from(*r1.exec.post_state, gen.next_batch(30), 2);
-  const std::vector<std::vector<BlockBundle>> heights = {{b1}, {b2}};
-
-  PipelineConfig cfg;
-  cfg.workers = 4;
-  ThreadPool workers(4);
-  const auto batch =
-      ValidatorPipeline(cfg).process_chain(genesis, std::span(heights), workers);
-
-  ChainSession session(cfg, genesis);
-  for (const auto& siblings : heights) {
-    ASSERT_EQ(session.push_height(std::span(siblings), workers), 0u);
-    EXPECT_TRUE(session.settle_next());
-  }
-
-  ASSERT_EQ(batch.outcomes.size(), 2u);
-  for (std::size_t h = 0; h < 2; ++h) {
-    EXPECT_EQ(session.outcome(h, 0).valid, batch.outcomes[h].valid);
-    EXPECT_EQ(session.outcome(h, 0).exec.state_root,
-              batch.outcomes[h].exec.state_root);
-  }
-  EXPECT_EQ(session.tip().state_root(), batch.outcomes[1].exec.state_root);
-  EXPECT_EQ(session.stats().vtime_makespan, batch.stats.vtime_makespan);
-  EXPECT_EQ(session.stats().blocks, batch.stats.blocks);
 }
 
 TEST_F(PipelineFixture, ChainSessionChooseRedirectsTip) {

@@ -6,7 +6,9 @@
 // producer/consumer hammering of ThreadPool / MpmcQueue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,18 @@
 #include "support/mpmc_queue.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
 
 namespace blockpilot {
 namespace {
@@ -336,6 +350,70 @@ TEST(StressVersionedState, SnapshotReadersRacingCommitterSeeOracleValues) {
   state::ReadCache cache;
   for (std::size_t i = 0; i < keys.size(); ++i)
     EXPECT_EQ(vs.read_at(keys[i], kVersions, cache), value_at[kVersions][i]);
+}
+
+TEST(StressVersionedState, PackedSlotRepublishNeverServesDeadKey) {
+  // Key K is written at versions 1 and 2, so its packed slot is dead.  A
+  // slot sibling's first write (version 3) republishes that slot while
+  // readers spin on K at snapshot 2: the publish must keep the slot
+  // unreadable until its payload is complete, or a reader accepts K's dead
+  // version-1 payload.  A same-contract sibling shares the address words,
+  // so only the storage-slot limbs tell the two keys apart mid-write.
+  using state::VersionedState;
+  const Address contract = addr_of(7);
+  const StateKey key = StateKey::storage(contract, U256{1});
+  const auto packed_index = [](const StateKey& k) {
+    return (k.hash >> 6) & (VersionedState::kPackedSlots - 1);
+  };
+  std::uint64_t sibling_slot = 2;
+  while (packed_index(StateKey::storage(contract, U256{sibling_slot})) !=
+         packed_index(key))
+    ++sibling_slot;
+  const StateKey sibling = StateKey::storage(contract, U256{sibling_slot});
+
+  const int trials = kSanitized ? 500 : 20'000;
+  const std::size_t readers =
+      std::max(2u, std::thread::hardware_concurrency()) - 1;
+  const U256 dead{111};
+  const U256 live{222};
+  const state::WorldState base;
+  std::unique_ptr<VersionedState> vs;
+  std::atomic<int> trial{0};
+  std::atomic<std::size_t> reading{0};
+  std::atomic<std::size_t> finished{0};
+  std::atomic<bool> published{false};
+  std::atomic<std::uint64_t> wrong{0};
+
+  std::vector<std::jthread> threads;
+  for (std::size_t r = 0; r < readers; ++r) {
+    threads.emplace_back([&] {
+      for (int t = 1; t <= trials; ++t) {
+        while (trial.load() != t) std::this_thread::yield();
+        reading.fetch_add(1);
+        bool last = false;
+        do {
+          last = published.load();
+          if (vs->read_at(key, 2) != live) wrong.fetch_add(1);
+        } while (!last);
+        finished.fetch_add(1);
+      }
+    });
+  }
+  for (int t = 1; t <= trials; ++t) {
+    vs = std::make_unique<VersionedState>(base);
+    vs->commit({{key, dead}}, 1);
+    vs->commit({{key, live}}, 2);
+    reading.store(0);
+    finished.store(0);
+    published.store(false);
+    trial.store(t);
+    while (reading.load() != readers) std::this_thread::yield();
+    vs->commit({{sibling, U256{333}}}, 3);
+    published.store(true);
+    while (finished.load() != readers) std::this_thread::yield();
+  }
+  threads.clear();
+  EXPECT_EQ(wrong.load(), 0u) << "stale reads over " << trials << " trials";
 }
 
 }  // namespace
