@@ -74,8 +74,8 @@ void run() {
     }
 
     // Oracle 4: pipeline (single-height path).
-    core::PipelineConfig plc;
-    plc.workers = 8;
+    core::ValidatorConfig plc;
+    plc.threads = 8;
     const std::vector<core::BlockBundle> bundle = {{blk.block, blk.profile}};
     const auto piped = core::ValidatorPipeline(plc).process_height(
         *state, std::span(bundle), workers);

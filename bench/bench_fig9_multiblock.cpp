@@ -36,8 +36,8 @@ void run() {
     for (const HonestBlock& hb : base_blocks) {
       // The same block replicated `concurrent` times at one height.
       std::vector<core::BlockBundle> siblings(concurrent, hb.bundle);
-      core::PipelineConfig pc;
-      pc.workers = 16;
+      core::ValidatorConfig pc;
+      pc.threads = 16;
       core::ValidatorPipeline pipeline(pc);
       const auto result =
           pipeline.process_height(genesis, std::span(siblings), workers);

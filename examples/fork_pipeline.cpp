@@ -40,8 +40,8 @@ int main() {
 
   core::ProposerConfig pcfg;
   pcfg.threads = 8;
-  core::PipelineConfig plcfg;
-  plcfg.workers = 16;
+  core::ValidatorConfig plcfg;
+  plcfg.threads = 16;
 
   for (std::uint64_t height = 1; height <= kHeights; ++height) {
     const auto parent_hash = chain.head().header.hash();

@@ -24,11 +24,6 @@ CommitResult CommitPipeline::compute(
   return out;
 }
 
-void CommitPipeline::set_settle_observer(SettleFn observer) {
-  std::scoped_lock lk(mu_);
-  observer_ = std::move(observer);
-}
-
 void CommitPipeline::set_node_store(db::NodeStore* store) {
   std::scoped_lock lk(mu_);
   node_store_ = store;
@@ -40,7 +35,6 @@ CommitHandle CommitPipeline::submit(
   std::unique_lock lk(mu_);
   const std::uint64_t seq = next_seq_++;
   ++stats_.submitted;
-  SettleFn observer = observer_;  // snapshot: tasks outlive the lock
   db::NodeStore* store = node_store_;
 
   if (pool_ == nullptr) {
@@ -55,7 +49,6 @@ CommitHandle CommitPipeline::submit(
     auto fut = p.get_future().share();
     tail_ = fut;
     lk.unlock();
-    if (observer) observer(fut.get());
     if (on_settled) on_settled(fut.get());
     return CommitHandle(fut);
   }
@@ -69,25 +62,24 @@ CommitHandle CommitPipeline::submit(
   ++pending_;
   stats_.max_pending = std::max(stats_.max_pending, pending_);
   pool_->submit([this, promise, prev, fut, post = std::move(post),
-                 aux = std::move(aux), on_settled = std::move(on_settled),
-                 observer = std::move(observer), seq, store]() mutable {
+                 aux = std::move(aux), on_settled = std::move(on_settled), seq,
+                 store]() mutable {
     // FIFO publication: never resolve before the predecessor.  The pool's
     // queue is FIFO too, so by the time this task runs its predecessor has
     // at least started — waiting here cannot starve the pool.
     if (prev.valid()) prev.wait();
     CommitResult r = compute(std::move(post), aux, seq, store);
     const double commit_ms = r.commit_ms;
-    // The callbacks fire BEFORE the promise resolves: the successor task is
+    // The callback fires BEFORE the promise resolves: the successor task is
     // parked in prev.wait() until set_value below, so settlement
     // notifications are strictly FIFO across submissions — resolving first
-    // would let the successor's callbacks race (and overtake) ours.  They
-    // also fire before this task releases its pending slot, so drain() —
+    // would let the successor's callback race (and overtake) ours.  It
+    // also fires before this task releases its pending slot, so drain() —
     // and the destructor, which drains — implies every notification has
     // finished.  The task must not touch the pipeline after the decrement
     // below: a drained pipeline may already be destroyed.  (Callbacks may
     // submit follow-ups, but must not block on this pipeline's own
     // backpressure, nor wait on their own handle.)
-    if (observer) observer(r);
     if (on_settled) on_settled(r);
     promise->set_value(std::move(r));
     {

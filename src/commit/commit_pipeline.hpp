@@ -115,9 +115,8 @@ class CommitPipeline {
   /// Queues the commitment of `post`.  The state must not be mutated after
   /// submission (the pipeline hashes it concurrently) — callers hand over a
   /// sealed post-state snapshot.  `on_settled`, when provided, fires once the
-  /// result publishes (see SettleFn) — the push-style settlement
-  /// notification the event-driven node loop consumes instead of polling
-  /// CommitHandle::ready().
+  /// result publishes (see SettleFn): a push-style settlement notification
+  /// for callers that would otherwise poll CommitHandle::ready().
   CommitHandle submit(std::shared_ptr<const state::WorldState> post,
                       AuxRootFn aux = {}, SettleFn on_settled = {});
 
@@ -143,14 +142,6 @@ class CommitPipeline {
   /// tasks.
   void set_node_store(db::NodeStore* store);
 
-  /// Pipeline-wide settlement observer: fires once per submission, right
-  /// after its result publishes and before the per-submit SettleFn (same
-  /// threading contract).  This is how the consensus loop feeds *measured*
-  /// commit latency (CommitResult::commit_ms) back into its virtual settle
-  /// schedule instead of the gas-derived model.  Set it before the first
-  /// submit — installation is not synchronized against in-flight tasks.
-  void set_settle_observer(SettleFn observer);
-
   CommitPipelineStats stats() const;
 
   bool async() const noexcept { return pool_ != nullptr; }
@@ -175,7 +166,6 @@ class CommitPipeline {
   std::uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
   CommitPipelineStats stats_;
-  SettleFn observer_;  // snapshot taken per submit under mu_
   db::NodeStore* node_store_ = nullptr;  // snapshot taken per submit under mu_
 };
 

@@ -47,17 +47,7 @@ PipelineResult ValidatorPipeline::process_height_speculative(
   // Per-block driver threads run preparation + applier; transaction lanes
   // execute inside each driver via BlockValidator.  Sibling blocks touch
   // only their own copies of state, so drivers are independent.
-  ValidatorConfig vc;
-  vc.threads = config_.workers;
-  vc.granularity = config_.granularity;
-  vc.costs = config_.costs;
-  vc.engine = config_.engine;
-  vc.adaptive_threshold = config_.adaptive_threshold;
-  vc.commit_pipeline = config_.commit_pipeline;
-  vc.seed_directory = config_.seed_directory;
-  vc.analysis_cache = config_.analysis_cache;
-
-  if (config_.concurrent_blocks && siblings.size() > 1) {
+  if (siblings.size() > 1) {
     // Each driver gets its own single-block worker allotment through the
     // shared pool; drivers themselves are dedicated jthreads because the
     // applier blocks (a blocked pool worker would starve execution).
@@ -68,7 +58,7 @@ PipelineResult ValidatorPipeline::process_height_speculative(
     // threads still contend for the host CPU exactly like shared workers.
     for (std::size_t b = 0; b < siblings.size(); ++b) {
       drivers.emplace_back([&, b] {
-        ValidatorConfig solo = vc;
+        ValidatorConfig solo = config_;
         solo.threads = 1;  // lanes fold into the driver thread
         BlockValidator validator(solo);
         result.outcomes[b] = validator.validate(pre, siblings[b].block,
@@ -76,12 +66,9 @@ PipelineResult ValidatorPipeline::process_height_speculative(
       });
     }
     drivers.clear();  // join
-  } else {
-    BlockValidator validator(vc);
-    for (std::size_t b = 0; b < siblings.size(); ++b) {
-      result.outcomes[b] = validator.validate(pre, siblings[b].block,
-                                              siblings[b].profile, workers);
-    }
+  } else if (!siblings.empty()) {
+    result.outcomes[0] = BlockValidator(config_).validate(
+        pre, siblings[0].block, siblings[0].profile, workers);
   }
 
   // ---- virtual-time pipeline model ----
@@ -108,7 +95,7 @@ PipelineResult ValidatorPipeline::process_height_speculative(
   }
 
   const std::size_t exec_workers =
-      config_.workers > siblings.size() ? config_.workers - siblings.size()
+      config_.threads > siblings.size() ? config_.threads - siblings.size()
                                         : 1;
   const std::uint64_t exec_makespan = simulate_shared_workers(
       std::move(jobs), exec_workers, config_.costs.block_switch_cost);

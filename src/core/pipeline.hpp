@@ -11,7 +11,7 @@
 //    builds on has to be final).
 //
 // Timing model (DESIGN.md §1/§4): the subgraphs of all in-flight blocks are
-// list-scheduled onto `workers` virtual workers; a worker that executes
+// list-scheduled onto `threads` virtual workers; a worker that executes
 // consecutive jobs from *different* blocks pays block_switch_cost (§5.6:
 // "workers shift between different contexts to handle distinct blocks and
 // send out relevant information") — this contention term is what caps and
@@ -33,35 +33,6 @@ namespace blockpilot::core {
 struct BlockBundle {
   chain::Block block;
   chain::BlockProfile profile;
-};
-
-struct PipelineConfig {
-  std::size_t workers = 16;
-  sched::Granularity granularity = sched::Granularity::kAccount;
-  vtime::CostModel costs;
-  /// Replay discipline forwarded to every BlockValidator (subgraph-LPT,
-  /// Block-STM, or per-block adaptive — see core::ValidatorEngine).
-  ValidatorEngine engine = ValidatorEngine::kSubgraphLpt;
-  /// kAdaptive only: largest-subgraph ratio above which a block is
-  /// replayed with Block-STM (engine_select.hpp).
-  double adaptive_threshold = kAdaptiveStmThreshold;
-  /// Validate sibling blocks on concurrent driver threads (true) or
-  /// sequentially (false; virtual-time result is identical — useful for
-  /// deterministic debugging).
-  bool concurrent_blocks = true;
-  /// When set, per-block state-root computation runs asynchronously on
-  /// this pipeline.  process_height() settles roots before returning;
-  /// ChainSession overlaps height h's commitment with height h+1's
-  /// execution, selecting the canonical branch speculatively and cascading
-  /// invalidation if a root check later fails ("parent block failed
-  /// commitment").
-  commit::CommitPipeline* commit_pipeline = nullptr;
-  /// Block-hash-keyed storage-seed sharing across sibling validators (see
-  /// ValidatorConfig::seed_directory); forwarded to every BlockValidator.
-  state::BlockSeedDirectory* seed_directory = nullptr;
-  /// CodeAnalysis cache forwarded to every BlockValidator: one per node
-  /// models a validator's warm bytecode cache (null = process-wide global).
-  evm::CodeAnalysisCache* analysis_cache = nullptr;
 };
 
 struct PipelineStats {
@@ -90,7 +61,12 @@ struct PipelineResult {
 
 class ValidatorPipeline {
  public:
-  explicit ValidatorPipeline(PipelineConfig config) : config_(config) {}
+  /// `config.threads` is the pipeline's worker count (a lone block gets all
+  /// of them; concurrent siblings run one lane each); the other fields
+  /// reach every BlockValidator unchanged.  With a commit pipeline, roots
+  /// are computed asynchronously: process_height() settles them before
+  /// returning, ChainSession overlaps them with the next height.
+  explicit ValidatorPipeline(ValidatorConfig config) : config_(config) {}
 
   /// Validates sibling blocks (all at the same height, all children of
   /// `pre`) concurrently.  This is the Fig. 9 experiment surface.
@@ -109,10 +85,8 @@ class ValidatorPipeline {
       const state::WorldState& pre, std::span<const BlockBundle> siblings,
       ThreadPool& workers);
 
-  const PipelineConfig& config() const noexcept { return config_; }
-
  private:
-  PipelineConfig config_;
+  ValidatorConfig config_;
 };
 
 /// ChainSession: height-granular chain validation for an event-driven node.
@@ -146,7 +120,7 @@ class ChainSession {
   /// before the records are dropped.
   using RevokeFn = std::function<void(std::size_t height)>;
 
-  ChainSession(PipelineConfig config, const state::WorldState& genesis)
+  ChainSession(ValidatorConfig config, const state::WorldState& genesis)
       : pipeline_(config),
         base_(std::make_shared<state::WorldState>(genesis)) {}
 

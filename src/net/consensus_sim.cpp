@@ -3,8 +3,6 @@
 #include "evm/code_analysis.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
 #include <memory>
 #include <queue>
 #include <span>
@@ -41,7 +39,6 @@ struct VNode {
   /// is its own, not shared process state.
   evm::CodeAnalysisCache analysis;
   std::uint64_t busy_until_us = 0;  // virtual time this node frees up
-  std::size_t revocations = 0;      // suffix heights dropped by adopt_fork
 };
 
 enum class Phase { kIdle, kProposed, kVoted, kSettled };
@@ -102,8 +99,6 @@ struct HeightSim {
   std::size_t propose_attempts = 0;  // across attempts: the liveness budget
   std::uint64_t ready_us = 0;  // when the height first became proposable
   std::uint64_t propose_start_us = 0;
-  std::uint64_t vote_done_us = 0;
-  Hash256 vote_hash;
   std::vector<std::vector<core::BlockBundle>> inbox;  // per validator
   std::vector<std::vector<Hash256>> got;  // header hashes received (dedup)
   std::vector<std::uint64_t> last_arrival;  // per validator
@@ -120,7 +115,6 @@ struct HeightSim {
   std::vector<Bytes> ann_wire;  // tagged, exactly as broadcast
   std::vector<Hash256> ann_hash;
   std::vector<NodeId> ann_proposer;
-  std::uint64_t commit_cost_us = 0;
   RoundReport report;
 };
 
@@ -156,11 +150,6 @@ struct EvLater {
   }
 };
 
-struct ArrivalPayload {
-  std::size_t validator = 0;
-  core::BlockBundle bundle;
-};
-
 class EventDriver {
  public:
   explicit EventDriver(const ConsensusSimConfig& config)
@@ -179,7 +168,6 @@ class EventDriver {
       commit_pool_ = std::make_unique<ThreadPool>(config_.commit_threads);
     proposer_commits_ =
         std::make_unique<commit::CommitPipeline>(commit_pool_.get());
-    proposer_commits_->set_settle_observer(measured_observer());
 
     pcfg_.threads = config_.proposer_threads;
     pcfg_.mode = config_.proposer_mode;
@@ -196,22 +184,18 @@ class EventDriver {
       node->chain = std::make_unique<chain::Blockchain>(genesis_);
       node->commits =
           std::make_unique<commit::CommitPipeline>(commit_pool_.get());
-      node->commits->set_settle_observer(measured_observer());
-      core::PipelineConfig plcfg;
-      plcfg.workers = config_.validator_workers;
-      plcfg.engine = config_.validator_engine;
+      core::ValidatorConfig vcfg;
+      vcfg.threads = config_.validator_workers;
+      vcfg.engine = config_.validator_engine;
       // Degraded mode (no commit pool) validates roots inline at push time,
       // so a Byzantine root yields "no votable sibling" immediately instead
       // of a settle-time cascade — the silent validator then rides the
       // timeout/re-propose path like any other quorum miss.
-      plcfg.commit_pipeline =
+      vcfg.commit_pipeline =
           config_.commit_threads > 0 ? node->commits.get() : nullptr;
-      if (config_.share_block_seeds) plcfg.seed_directory = &seed_dir_;
-      plcfg.analysis_cache = &node->analysis;
-      node->session = std::make_unique<core::ChainSession>(plcfg, genesis_);
-      VNode* raw = node.get();
-      node->session->set_revocation_callback(
-          [raw](std::size_t) { ++raw->revocations; });
+      if (config_.share_block_seeds) vcfg.seed_directory = &seed_dir_;
+      vcfg.analysis_cache = &node->analysis;
+      node->session = std::make_unique<core::ChainSession>(vcfg, genesis_);
       nodes_.push_back(std::move(node));
     }
 
@@ -237,7 +221,7 @@ class EventDriver {
     }
 
     // Abandoned speculative commitments (dropped by re-proposals) may still
-    // be in flight; drain so the measured latency sum is complete.
+    // be in flight; drain so the seed-sharing counters see every one.
     for (const auto& node : nodes_) node->commits->drain();
     proposer_commits_->drain();
 
@@ -249,10 +233,6 @@ class EventDriver {
     result_.messages_duplicated = fs.duplicated;
     result_.messages_reordered = fs.reordered;
     result_.messages_partitioned = fs.partitioned;
-    result_.measured_commit_ms =
-        static_cast<double>(
-            measured_commit_ns_.load(std::memory_order_relaxed)) /
-        1e6;
     if (config_.share_block_seeds) {
       const state::BlockSeedDirectory::Stats s = seed_dir_.stats();
       result_.seeds_built = s.seeds_built;
@@ -266,16 +246,6 @@ class EventDriver {
     result_.safety_held = false;
     result_.violation = std::move(why);
     violated_ = true;
-  }
-
-  /// Accumulates every pipeline's measured commit latency — the real
-  /// number use_measured_commit_cost feeds back into the settle schedule.
-  commit::SettleFn measured_observer() {
-    return [this](const commit::CommitResult& r) {
-      measured_commit_ns_.fetch_add(
-          static_cast<std::uint64_t>(r.commit_ms * 1e6),
-          std::memory_order_relaxed);
-    };
   }
 
   /// Expands every resolved network delivery into a typed event.
@@ -292,8 +262,7 @@ class EventDriver {
               std::span(msg->payload).subspan(1));
           const std::uint64_t hh = ann.block.header.number;
           if (hh == 0 || hh > config_.rounds) break;
-          arena_.push_back(
-              {v, {std::move(ann.block), std::move(ann.profile)}});
+          arena_.push_back({std::move(ann.block), std::move(ann.profile)});
           push_ev({msg->deliver_time_us, kEvArrival, v, hh, hs_[hh].attempt,
                    0, arena_.size() - 1});
           break;
@@ -359,7 +328,6 @@ class EventDriver {
     h.ann_wire.clear();
     h.ann_hash.clear();
     h.ann_proposer.clear();
-    h.vote_hash = Hash256{};
     if (h.attempt > 0) result_.reproposed_blocks += ppr_;
 
     const std::size_t byz = std::min(config_.byzantine_proposers, ppr_);
@@ -422,13 +390,13 @@ class EventDriver {
       return;
     result_.makespan_us = std::max(result_.makespan_us, ev.t);
     const std::size_t v = ev.node;
-    ArrivalPayload& ap = arena_[ev.payload];
-    const Hash256 bh = ap.bundle.block.header.hash();
+    core::BlockBundle& bundle = arena_[ev.payload];
+    const Hash256 bh = bundle.block.header.hash();
     // Duplicate deliveries (fault-plan dups, timeout re-pulls) fold away.
     for (const Hash256& seen : h.got[v])
       if (seen == bh) return;
     h.got[v].push_back(bh);
-    h.inbox[v].push_back(std::move(ap.bundle));
+    h.inbox[v].push_back(std::move(bundle));
     h.last_arrival[v] = std::max(h.last_arrival[v], ev.t);
     if (h.inbox[v].size() < h.report.siblings || h.pushed[v]) return;
     h.pushed[v] = 1;
@@ -551,8 +519,6 @@ class EventDriver {
       }
     }
     h.phase = Phase::kVoted;
-    h.vote_done_us = t;
-    h.vote_hash = first;
     canon_hash_ = first;
     h.report.round_latency_us = t - h.propose_start_us;
     result_.speculative_votes += h.report.speculative_votes;
@@ -568,26 +534,13 @@ class EventDriver {
     // settle events still fire in height order (the pipeline is FIFO).
     std::uint64_t cost_us = 0;
     if (config_.commit_threads > 0) {
-      if (config_.use_measured_commit_cost) {
-        // Feed the *measured* pipeline latency of validator 0's siblings
-        // back into the schedule (blocks on the handles; wall-clock, so
-        // this mode trades bit-stability for realism).
-        double ms = 0.0;
-        for (std::size_t i = 0; i < h.inbox[0].size(); ++i) {
-          const auto& o = nodes_[0]->session->outcome(idx, i);
-          if (o.commit.valid()) ms += o.commit.get().commit_ms;
-        }
-        cost_us = static_cast<std::uint64_t>(ms * 1000.0);
-      } else {
-        std::uint64_t gas = 0;
-        for (const core::BlockBundle& b : h.inbox[0])
-          gas += b.block.header.gas_used;
-        cost_us = gas / std::max<std::uint64_t>(1, config_.commit_gas_per_us);
-      }
+      std::uint64_t gas = 0;
+      for (const core::BlockBundle& b : h.inbox[0])
+        gas += b.block.header.gas_used;
+      cost_us = gas / std::max<std::uint64_t>(1, config_.commit_gas_per_us);
     }
-    h.commit_cost_us = cost_us;
     const std::uint64_t settle_at =
-        std::max(t + h.commit_cost_us, last_settle_sched_us_);
+        std::max(t + cost_us, last_settle_sched_us_);
     last_settle_sched_us_ = settle_at;
     push_ev({settle_at, kEvSettle, 0, height, h.attempt, 0, SIZE_MAX});
 
@@ -739,7 +692,7 @@ class EventDriver {
     }
 
     if (!any) {
-      // No sibling survived: the chain dies here (the batch cascade).
+      // No sibling survived: the chain dies here (the cascade).
       dead_ = true;
       for (std::size_t v = 0; v < V_; ++v)
         nodes_[v]->session->cascade_from(idx);
@@ -767,7 +720,6 @@ class EventDriver {
     finalize_height(h, idx, ev.t);
     if (violated_) return;
     canon_hash_ = surv_hash;
-    h.vote_hash = surv_hash;
     last_settled_ = ev.height;
     last_settle_sched_us_ = ev.t;
     try_schedule_propose(ev.height + 1, ev.t);
@@ -837,9 +789,6 @@ class EventDriver {
   const state::WorldState genesis_;
   SimNetwork network_;
   ThreadPool workers_;
-  // Declared before the pipelines that feed it: observer callbacks run on
-  // pool threads until each pipeline's destructor drains.
-  std::atomic<std::uint64_t> measured_commit_ns_{0};
   std::unique_ptr<ThreadPool> commit_pool_;
   std::unique_ptr<commit::CommitPipeline> proposer_commits_;
   state::BlockSeedDirectory seed_dir_;
@@ -851,7 +800,7 @@ class EventDriver {
   std::vector<std::unique_ptr<VNode>> nodes_;
   std::vector<HeightSim> hs_;
   std::priority_queue<Ev, std::vector<Ev>, EvLater> queue_;
-  std::vector<ArrivalPayload> arena_;
+  std::vector<core::BlockBundle> arena_;
   std::vector<VoteMsg> vote_arena_;
   std::uint64_t seq_ = 0;
   Hash256 canon_hash_;
@@ -862,39 +811,6 @@ class EventDriver {
   bool dead_ = false;
   bool violated_ = false;
   ConsensusSimResult result_;
-};
-
-/// One validator's view of one round in the batch reference, parked until
-/// the settle pass.
-struct PendingValidation {
-  std::vector<core::BlockBundle> bundles;         // this node's arrival order
-  std::vector<core::ValidationOutcome> outcomes;  // parallel to bundles
-  Hash256 vote;                // provisional vote (zero = no valid sibling)
-  std::size_t vote_idx = SIZE_MAX;
-};
-
-struct PendingRound {
-  RoundReport report;
-  Hash256 canonical_hash;
-  std::uint64_t ready_us = 0;     // round start (previous vote)
-  std::uint64_t vote_end_us = 0;  // slowest validator's vote
-  std::uint64_t commit_cost_us = 0;
-  std::vector<PendingValidation> per_validator;
-};
-
-/// Batch-reference validator node (no ChainSession: the round driver owns
-/// the chain view).
-struct BatchValidatorNode {
-  BatchValidatorNode(const state::WorldState& genesis, ThreadPool* commit_pool)
-      : chain(genesis), commits(commit_pool) {
-    tip = chain.head_state();
-  }
-
-  chain::Blockchain chain;
-  commit::CommitPipeline commits;
-  std::shared_ptr<const state::WorldState> tip;
-  evm::CodeAnalysisCache analysis;  // per-node bytecode cache
-  std::uint64_t busy_until_us = 0;  // virtual time this node frees up
 };
 
 }  // namespace
@@ -914,275 +830,6 @@ ConsensusSim::ConsensusSim(ConsensusSimConfig config)
 ConsensusSimResult ConsensusSim::run() {
   EventDriver driver(config_);
   return driver.run();
-}
-
-ConsensusSimResult ConsensusSim::run_batch_reference() {
-  ConsensusSimResult result;
-  workload::WorkloadGenerator gen(config_.workload);
-  const state::WorldState genesis = gen.genesis();
-
-  // Node ids: [0, P) proposers, [P, P+V) validators.
-  const std::size_t P = config_.proposer_nodes;
-  const std::size_t V = config_.validator_nodes;
-  SimNetwork network(P + V, config_.link);
-
-  ThreadPool workers(4);
-  std::unique_ptr<ThreadPool> commit_pool;
-  if (config_.commit_threads > 0)
-    commit_pool = std::make_unique<ThreadPool>(config_.commit_threads);
-  commit::CommitPipeline proposer_commits(commit_pool.get());
-
-  std::vector<std::unique_ptr<BatchValidatorNode>> validators;
-  validators.reserve(V);
-  for (std::size_t v = 0; v < V; ++v)
-    validators.push_back(
-        std::make_unique<BatchValidatorNode>(genesis, commit_pool.get()));
-
-  evm::CodeAnalysisCache proposer_analysis;
-  core::ProposerConfig pcfg;
-  pcfg.threads = config_.proposer_threads;
-  pcfg.mode = config_.proposer_mode;
-  pcfg.commit_pipeline = &proposer_commits;
-  pcfg.analysis_cache = &proposer_analysis;
-  core::PipelineConfig plcfg;
-  plcfg.workers = config_.validator_workers;
-  plcfg.engine = config_.validator_engine;
-  // Per-proposer conflict-ratio memory for ScheduleMode::kAdaptive (a fresh
-  // engine is built per proposal, so the signal lives here).
-  std::vector<double> adaptive_ratio(P, 0.0);
-
-  auto canonical_state = std::make_shared<const state::WorldState>(genesis);
-  Hash256 canonical_head_hash = validators[0]->chain.genesis_hash();
-  std::uint64_t clock_us = 0;  // global round clock (virtual)
-  std::vector<PendingRound> pending;
-
-  for (std::uint64_t height = 1; height <= config_.rounds; ++height) {
-    PendingRound pr;
-    RoundReport& report = pr.report;
-    report.height = height;
-    pr.ready_us = clock_us;
-
-    // ---- propose: round-robin leader set over the proposer nodes ----
-    // Sealing is routed through the proposer commit pipeline; await_seal()
-    // closes the future before broadcast (an unsealed root cannot gossip).
-    std::uint64_t propose_end_us = clock_us;
-    const std::size_t byz =
-        std::min(config_.byzantine_proposers, config_.proposers_per_round);
-    for (std::size_t k = 0; k < config_.proposers_per_round; ++k) {
-      const NodeId proposer_id =
-          (height * config_.proposers_per_round + k) % P;
-      txpool::TxPool pool;
-      pool.add_all(gen.next_block());
-      core::ProposerConfig cfg = pcfg;
-      if (cfg.mode == core::ScheduleMode::kAdaptive)
-        cfg.adaptive_ratio_slot = &adaptive_ratio[proposer_id];
-      core::BlockProposer proposer(cfg);
-      core::ProposedBlock blk = proposer.propose(
-          *canonical_state,
-          ctx_for(height, Address::from_id(0xFEE000 + proposer_id)), pool,
-          workers);
-      if (core::is_block_stm(blk.stats.engine_used))
-        ++result.blocks_stm;
-      else
-        ++result.blocks_occ;
-      blk.block.header.parent_hash = canonical_head_hash;
-      blk.await_seal();
-      if (height == config_.byzantine_height && k < byz) {
-        // Byzantine proposer set: gossip a block whose sealed root lies.
-        // Execution still replays cleanly, so the lie survives until the
-        // validators' commitments settle.
-        blk.block.header.state_root.bytes[0] ^= 0xA5;
-      }
-      pr.commit_cost_us +=
-          config_.commit_threads > 0
-              ? blk.block.header.gas_used /
-                    std::max<std::uint64_t>(1, config_.commit_gas_per_us)
-              : 0;
-      propose_end_us = std::max(
-          propose_end_us, clock_us + blk.stats.vtime_makespan / kGasPerUs);
-
-      chain::BlockAnnouncement ann;
-      ann.block = std::move(blk.block);
-      ann.profile = std::move(blk.profile);
-      network.broadcast(proposer_id, propose_end_us,
-                        chain::encode_announcement(ann));
-    }
-    report.siblings = config_.proposers_per_round;
-
-    // ---- disseminate: drain this round's gossip ----
-    // Per validator: arrival time of its LAST sibling announcement (a
-    // validator can only finish the round once it has seen every fork).
-    std::map<NodeId, std::uint64_t> last_arrival;
-    std::map<NodeId, std::vector<core::BlockBundle>> inbox;
-    while (auto msg = network.next_delivery()) {
-      if (msg->to < P) continue;  // proposers ignore sibling gossip here
-      const chain::BlockAnnouncement ann =
-          chain::decode_announcement(std::span(msg->payload));
-      inbox[msg->to].push_back({ann.block, ann.profile});
-      last_arrival[msg->to] =
-          std::max(last_arrival[msg->to], msg->deliver_time_us);
-    }
-
-    // ---- validate speculatively: root checks stay on the pipelines ----
-    std::uint64_t round_end_us = propose_end_us;
-    pr.per_validator.resize(V);
-
-    for (std::size_t v = 0; v < V; ++v) {
-      const NodeId vid = P + v;
-      auto& node = *validators[v];
-      PendingValidation& pv = pr.per_validator[v];
-      pv.bundles = std::move(inbox[vid]);
-      BP_ASSERT_MSG(pv.bundles.size() == report.siblings,
-                    "gossip lost an announcement");
-
-      plcfg.commit_pipeline = &node.commits;
-      plcfg.analysis_cache = &node.analysis;
-      core::ValidatorPipeline pipeline(plcfg);
-      core::PipelineResult piped = pipeline.process_height_speculative(
-          *node.tip, std::span(pv.bundles.data(), pv.bundles.size()),
-          workers);
-
-      // Provisional vote: first execution-valid sibling in arrival order.
-      // The voted block's root check may still be in flight — that is the
-      // speculative tip the next round builds on.
-      for (std::size_t i = 0; i < piped.outcomes.size(); ++i) {
-        if (piped.outcomes[i].valid) {
-          pv.vote = pv.bundles[i].block.header.hash();
-          pv.vote_idx = i;
-          break;
-        }
-      }
-      if (pv.vote_idx != SIZE_MAX) {
-        const auto& voted = piped.outcomes[pv.vote_idx];
-        if (voted.commit.valid() && !voted.commit.ready())
-          ++report.speculative_votes;
-        node.tip = voted.exec.post_state;
-      }
-      pv.outcomes = std::move(piped.outcomes);
-
-      const std::uint64_t node_end =
-          std::max(node.busy_until_us, last_arrival[vid]) +
-          piped.stats.vtime_makespan / kGasPerUs;
-      node.busy_until_us = node_end;
-      round_end_us = std::max(round_end_us, node_end);
-    }
-    result.speculative_votes += report.speculative_votes;
-
-    // ---- consensus: provisional votes must be unanimous ----
-    pr.canonical_hash = pr.per_validator.front().vote;
-    for (const PendingValidation& pv : pr.per_validator) {
-      if (pv.vote.is_zero()) {
-        result.safety_held = false;
-        result.violation =
-            "no valid block at height " + std::to_string(height);
-        return result;
-      }
-      if (!(pv.vote == pr.canonical_hash)) {
-        result.safety_held = false;
-        result.violation = "validators voted for different blocks at height " +
-                           std::to_string(height);
-        return result;
-      }
-    }
-
-    canonical_state = pr.per_validator[0].outcomes[pr.per_validator[0].vote_idx]
-                          .exec.post_state;
-    canonical_head_hash = pr.canonical_hash;
-    report.round_latency_us = round_end_us - clock_us;
-    pr.vote_end_us = round_end_us;
-    clock_us = round_end_us;
-    pending.push_back(std::move(pr));
-  }
-
-  // ---- settle: await pending roots height by height ----
-  // A root mismatch on a round's canonical block revokes that round's votes
-  // and cascades to every descendant round — their executions consumed a
-  // state that was never committed — truncating the settled chain there.
-  // Virtual settle time: commitments run from each round's vote on the
-  // commit pool, but the post-hoc pass only observes them after the last
-  // round, in height order — the baseline the live loop's interleaved
-  // settlement beats.
-  bool chain_ok = true;
-  std::uint64_t settle_clock_us = clock_us;
-  for (PendingRound& pr : pending) {
-    RoundReport& report = pr.report;
-
-    if (!chain_ok) {
-      // Cascade: the parent round was revoked, so every vote here is too.
-      for (PendingValidation& pv : pr.per_validator) {
-        for (core::ValidationOutcome& o : pv.outcomes) {
-          if (o.valid) {
-            o.valid = false;
-            o.reject_reason = "parent block failed commitment";
-          }
-        }
-      }
-      result.revoked_votes += V;
-      result.rounds.push_back(report);
-      continue;
-    }
-
-    settle_clock_us =
-        std::max(settle_clock_us, pr.vote_end_us + pr.commit_cost_us);
-    std::size_t revoked = 0;
-    for (PendingValidation& pv : pr.per_validator) {
-      for (core::ValidationOutcome& o : pv.outcomes) o.await_commit();
-      if (!pv.outcomes[pv.vote_idx].valid) ++revoked;
-    }
-    // Deterministic replay means settlement is unanimous; anything else is
-    // a replica divergence.
-    if (revoked != 0 && revoked != V) {
-      result.safety_held = false;
-      result.violation = "validators disagree on settlement at height " +
-                         std::to_string(report.height);
-      return result;
-    }
-    if (revoked == V) {
-      chain_ok = false;
-      result.revoked_votes += V;
-      result.rounds.push_back(report);
-      continue;
-    }
-
-    // The round settled: ledgers advance, replicas must agree on the root.
-    const Hash256 root0 =
-        pr.per_validator[0].outcomes[pr.per_validator[0].vote_idx]
-            .exec.state_root;
-    std::size_t valid = 0;
-    for (std::size_t v = 0; v < V; ++v) {
-      PendingValidation& pv = pr.per_validator[v];
-      if (!(pv.outcomes[pv.vote_idx].exec.state_root == root0)) {
-        result.safety_held = false;
-        result.violation = "replica state divergence at height " +
-                           std::to_string(report.height);
-        return result;
-      }
-      std::size_t node_valid = 0;
-      for (std::size_t i = 0; i < pv.outcomes.size(); ++i) {
-        if (!pv.outcomes[i].valid) continue;
-        ++node_valid;
-        validators[v]->chain.commit_block(pv.bundles[i].block,
-                                          pv.outcomes[i].exec.post_state);
-        if (v == 0 && pv.bundles[i].block.header.hash() == pr.canonical_hash)
-          report.txs += pv.bundles[i].block.transactions.size();
-      }
-      if (v == 0) valid = node_valid;
-    }
-    report.settled = true;
-    report.canonical_root = root0;
-    report.valid_siblings = valid;
-    report.uncles = valid > 0 ? valid - 1 : 0;
-    report.settle_latency_us = settle_clock_us - pr.ready_us;
-    result.settled_height = report.height;
-    result.total_txs += report.txs;
-    result.total_uncles += report.uncles;
-    result.rounds.push_back(report);
-  }
-
-  result.makespan_us = std::max(clock_us, settle_clock_us);
-  result.settle_stall_us = result.makespan_us - clock_us;
-  result.bytes_gossiped = network.bytes_sent();
-  return result;
 }
 
 }  // namespace blockpilot::net

@@ -52,12 +52,6 @@
 // tampers with sealed roots; safety holds as long as the honest validators
 // *agree* on detecting, revoking, and (when an honest sibling exists)
 // forking around it.
-//
-// run_batch_reference() retains the pre-refactor round-batch algorithm
-// (propose/gossip/vote every height, then one settle pass that cascades
-// revocation) both as the depth-0 semantic baseline — a depth-0
-// single-proposer event run settles bit-identical canonical roots — and as
-// the latency baseline the bench sweeps against.
 #pragma once
 
 #include <cstdint>
@@ -101,8 +95,8 @@ struct ConsensusSimConfig {
   /// Bounded speculation: a height may be proposed only while at most
   /// `speculation_depth` heights past the last settled one are already in
   /// flight.  0 degrades to lock-step (each height waits for the previous
-  /// settlement — the batch-equivalent mode); larger windows overlap more
-  /// commitment latency with execution (§5.2).
+  /// settlement); larger windows overlap more commitment latency with
+  /// execution (§5.2).
   std::size_t speculation_depth = 8;
   /// When nonzero, proposers at this height broadcast blocks whose sealed
   /// state root was tampered with — the mismatch is only discovered when
@@ -137,13 +131,6 @@ struct ConsensusSimConfig {
   /// lost (quorum_failures; safety still holds).  Attempts consumed by
   /// fork-choice re-proposals count too.
   std::size_t max_propose_attempts = 8;
-  /// Feed each node's *measured* CommitPipeline latency
-  /// (CommitResult::commit_ms, via the pipeline settle observer) into the
-  /// virtual settle schedule instead of the gas-derived model.  Off by
-  /// default: wall-clock measurements vary run to run, so this mode trades
-  /// the bit-stability guarantees (and the differential gates that assert
-  /// them) for schedule realism.
-  bool use_measured_commit_cost = false;
   /// Publish per-account storage seeds keyed by block hash so sibling
   /// validators of the same block share trie rebuild work (stats report
   /// seeds_built / seeds_adopted).
@@ -223,10 +210,6 @@ struct ConsensusSimResult {
   std::uint64_t messages_duplicated = 0;
   std::uint64_t messages_reordered = 0;
   std::uint64_t messages_partitioned = 0;
-  /// Σ measured CommitPipeline latency across every node (wall-clock, via
-  /// the settle observers).  Informational unless use_measured_commit_cost
-  /// folds it into the virtual schedule.
-  double measured_commit_ms = 0.0;
   /// Blocks proposed per execution engine (kAdaptive resolves per block;
   /// fixed proposer modes land entirely in one bucket).  The regime-flip
   /// surface: a dex-heavy workload under kAdaptive must move proposals
@@ -264,14 +247,6 @@ class ConsensusSim {
   /// Runs the event-driven simulation to quiescence (every height settled,
   /// or the chain died, or safety was violated) and returns the report.
   ConsensusSimResult run();
-
-  /// The pre-refactor round-batch algorithm: every height is proposed,
-  /// gossiped, and voted in lock-step; one post-hoc settle pass then awaits
-  /// all pending roots in height order and cascades revocation.  Kept as
-  /// the semantic baseline (depth-0 single-proposer run() settles
-  /// bit-identical canonical roots) and as the latency baseline for the
-  /// depth sweep bench.  Never forks around a failure and never re-proposes.
-  ConsensusSimResult run_batch_reference();
 
   /// Gas-to-time conversion for latency reporting: EVM gas throughput of
   /// one core (mainnet-ish ~30 Mgas/s -> 30 gas/us).

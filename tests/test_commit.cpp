@@ -776,9 +776,9 @@ TEST_F(AsyncCommitFixture, PipelineAsyncMatchesSyncOverChain) {
     heights.push_back({std::move(bundle)});
   }
 
-  core::PipelineConfig sync_cfg;
-  sync_cfg.workers = 4;
-  core::PipelineConfig async_cfg = sync_cfg;
+  core::ValidatorConfig sync_cfg;
+  sync_cfg.threads = 4;
+  core::ValidatorConfig async_cfg = sync_cfg;
   ThreadPool commit_pool(2);
   commit::CommitPipeline pipe(&commit_pool);
   async_cfg.commit_pipeline = &pipe;
@@ -823,8 +823,8 @@ TEST_F(AsyncCommitFixture, PipelineCascadesParentCommitFailure) {
   std::vector<std::vector<core::BlockBundle>> heights = {{b1}, {b2}};
   ThreadPool commit_pool(2);
   commit::CommitPipeline pipe(&commit_pool);
-  core::PipelineConfig cfg;
-  cfg.workers = 4;
+  core::ValidatorConfig cfg;
+  cfg.threads = 4;
   cfg.commit_pipeline = &pipe;
   ThreadPool workers(4);
   core::ChainSession session(cfg, genesis);

@@ -78,8 +78,8 @@ TEST(Integration, AllEnginesAgreeOnRoots) {
     ASSERT_TRUE(occ.valid) << occ.reject_reason;
     EXPECT_EQ(occ.exec.state_root, serial.exec.state_root);
 
-    PipelineConfig pc;
-    pc.workers = 8;
+    ValidatorConfig pc;
+    pc.threads = 8;
     const std::vector<BlockBundle> bundle = {{block, serial.exec.profile}};
     const auto piped = ValidatorPipeline(pc).process_height(
         genesis, std::span(bundle), workers);

@@ -1,11 +1,67 @@
 #include <gtest/gtest.h>
 
+#include "core/serial_executor.hpp"
 #include "net/consensus_sim.hpp"
 #include "net/network.hpp"
 #include "support/rng.hpp"
 
 namespace blockpilot::net {
 namespace {
+
+/// One height of the serial oracle's chain.
+struct SerialHeight {
+  Hash256 root;
+  std::uint64_t txs = 0;
+};
+
+/// The chain a single-proposer ConsensusSim must settle, rebuilt without the
+/// network: each height draws the same workload block, proposes it with the
+/// sim's proposer config and block context, and replays it with the serial
+/// executor on the previous height's serial post state.  Every settled round
+/// of ConsensusSim::run() must match this root and tx count.
+std::vector<SerialHeight> serial_chain(const ConsensusSimConfig& cfg) {
+  workload::WorkloadGenerator gen(cfg.workload);
+  auto state = std::make_shared<state::WorldState>(gen.genesis());
+  core::ProposerConfig pcfg;
+  pcfg.threads = cfg.proposer_threads;
+  pcfg.mode = cfg.proposer_mode;
+  ThreadPool workers(4);
+  core::SerialOptions replay;
+  replay.drop_unincludable = false;
+  std::vector<SerialHeight> chain;
+  for (std::uint64_t h = 1; h <= cfg.rounds; ++h) {
+    evm::BlockContext ctx;
+    ctx.number = h;
+    ctx.timestamp = 1'700'000'000 + h * 12;
+    ctx.coinbase = Address::from_id(0xFEE000 + h % cfg.proposer_nodes);
+    txpool::TxPool pool;
+    pool.add_all(gen.next_block());
+    const core::ProposedBlock blk =
+        core::BlockProposer(pcfg).propose(*state, ctx, pool, workers);
+    const core::SerialResult serial = core::execute_serial(
+        *state, ctx, std::span(blk.block.transactions), replay);
+    EXPECT_TRUE(serial.ok) << "height " << h;
+    EXPECT_EQ(serial.exec.state_root, blk.block.header.state_root)
+        << "height " << h;
+    chain.push_back({serial.exec.state_root, blk.block.transactions.size()});
+    state = serial.exec.post_state;
+  }
+  return chain;
+}
+
+/// Asserts that every settled round of `live` matches the serial oracle.
+void expect_settled_match_serial(const ConsensusSimResult& live,
+                                 const std::vector<SerialHeight>& oracle,
+                                 const std::string& where) {
+  ASSERT_EQ(live.rounds.size(), oracle.size()) << where;
+  for (std::size_t i = 0; i < live.rounds.size(); ++i) {
+    if (!live.rounds[i].settled) continue;
+    EXPECT_EQ(live.rounds[i].canonical_root, oracle[i].root)
+        << where << " height " << i + 1;
+    EXPECT_EQ(live.rounds[i].txs, oracle[i].txs)
+        << where << " height " << i + 1;
+  }
+}
 
 TEST(SimNetwork, PointToPointDelivery) {
   SimNetwork net(3);
@@ -209,44 +265,16 @@ TEST(ConsensusSim, LateRootMismatchCascadesVoteRevocation) {
   EXPECT_EQ(result.fork_choices, 0u);  // no honest sibling to adopt
   // Height 2's votes are revoked for certain; heights 3 and 4 only lose
   // votes they managed to cast before the settlement caught the lie (the
-  // live loop kills the suffix as soon as height 2 fails, unlike the batch
-  // driver which always voted every height first).
+  // loop kills the suffix as soon as height 2 fails).
   EXPECT_GE(result.revoked_votes, 1u * cfg.validator_nodes);
   EXPECT_LE(result.revoked_votes, 3u * cfg.validator_nodes);
   EXPECT_EQ(result.total_txs, result.rounds[0].txs);
 }
 
-TEST(ConsensusSim, BatchReferenceCascadeIsExact) {
-  // The pre-refactor round-batch driver votes every height before its
-  // post-hoc settle pass, so the cascade bookkeeping is exact: heights 2,
-  // 3, 4 each lose all validator votes.
-  ConsensusSimConfig cfg;
-  cfg.proposer_nodes = 1;
-  cfg.validator_nodes = 3;
-  cfg.proposers_per_round = 1;
-  cfg.rounds = 4;
-  cfg.byzantine_height = 2;
-  cfg.workload.txs_per_block = 20;
-  cfg.proposer_threads = 4;
-  cfg.validator_workers = 8;
-  cfg.commit_threads = 2;
-
-  const auto result = ConsensusSim(cfg).run_batch_reference();
-  ASSERT_TRUE(result.safety_held) << result.violation;
-  ASSERT_EQ(result.rounds.size(), 4u);
-  EXPECT_TRUE(result.rounds[0].settled);
-  for (std::size_t i = 1; i < 4; ++i)
-    EXPECT_FALSE(result.rounds[i].settled) << "height " << i + 1;
-  EXPECT_EQ(result.settled_height, 1u);
-  EXPECT_EQ(result.revoked_votes, 3u * cfg.validator_nodes);
-  EXPECT_EQ(result.total_txs, result.rounds[0].txs);
-}
-
-TEST(ConsensusSim, DepthZeroSingleProposerMatchesBatchReference) {
+TEST(ConsensusSim, DepthZeroSingleProposerMatchesSerialOracle) {
   // Lock-step degraded mode: speculation_depth = 0 with a single proposer
-  // must settle canonical roots bit-identical to the pre-refactor batch
-  // algorithm (same workload draws, same per-height execution, same
-  // settlement decisions) — the refactor's semantic anchor.
+  // must settle every height, each on the serial oracle's root and tx
+  // count (same workload draws, same block contexts).
   ConsensusSimConfig cfg;
   cfg.proposer_nodes = 1;
   cfg.validator_nodes = 3;
@@ -259,18 +287,10 @@ TEST(ConsensusSim, DepthZeroSingleProposerMatchesBatchReference) {
   cfg.commit_threads = 2;
 
   const auto live = ConsensusSim(cfg).run();
-  const auto batch = ConsensusSim(cfg).run_batch_reference();
   ASSERT_TRUE(live.safety_held) << live.violation;
-  ASSERT_TRUE(batch.safety_held) << batch.violation;
-  ASSERT_EQ(live.rounds.size(), batch.rounds.size());
-  EXPECT_EQ(live.settled_height, batch.settled_height);
-  EXPECT_EQ(live.total_txs, batch.total_txs);
-  for (std::size_t i = 0; i < live.rounds.size(); ++i) {
-    EXPECT_EQ(live.rounds[i].settled, batch.rounds[i].settled);
-    EXPECT_EQ(live.rounds[i].canonical_root, batch.rounds[i].canonical_root)
-        << "height " << i + 1;
-    EXPECT_EQ(live.rounds[i].txs, batch.rounds[i].txs);
-  }
+  EXPECT_EQ(live.settled_height, cfg.rounds);
+  for (const auto& round : live.rounds) EXPECT_TRUE(round.settled);
+  expect_settled_match_serial(live, serial_chain(cfg), "depth 0");
 }
 
 TEST(ConsensusSim, ForkChoiceAdoptsHonestSurvivor) {
@@ -398,8 +418,9 @@ TEST(ConsensusSim, ForkChoiceFuzz) {
   // agreement, replica root agreement all flip safety_held), so every
   // scenario must simply report safety intact, plus the structural
   // invariants per scenario kind.  Single-proposer scenarios additionally
-  // pin the live loop to the batch reference's settled roots.
+  // pin every settled round to the serial oracle's chain.
   std::uint64_t fork_choices_total = 0;
+  std::uint64_t oracle_checked = 0;
   std::uint64_t revocations_total = 0;
   for (std::uint64_t scenario = 0; scenario < kFuzzScenarios; ++scenario) {
     std::uint64_t st = 0xF0C5'0000ULL + scenario * 0x9e3779b97f4a7c15ULL;
@@ -464,22 +485,11 @@ TEST(ConsensusSim, ForkChoiceFuzz) {
     }
 
     if (cfg.proposers_per_round == 1) {
-      // Degenerate fork width: the live loop must settle exactly the
-      // batch reference's chain, whatever the depth/jitter/threading.
-      const auto batch = ConsensusSim(cfg).run_batch_reference();
-      ASSERT_TRUE(batch.safety_held)
-          << "scenario " << scenario << ": " << batch.violation;
-      ASSERT_EQ(result.rounds.size(), batch.rounds.size());
-      EXPECT_EQ(result.settled_height, batch.settled_height)
-          << "scenario " << scenario;
-      for (std::size_t i = 0; i < result.rounds.size(); ++i) {
-        EXPECT_EQ(result.rounds[i].settled, batch.rounds[i].settled)
-            << "scenario " << scenario << " height " << i + 1;
-        EXPECT_EQ(result.rounds[i].canonical_root,
-                  batch.rounds[i].canonical_root)
-            << "scenario " << scenario << " height " << i + 1;
-        EXPECT_EQ(result.rounds[i].txs, batch.rounds[i].txs);
-      }
+      // Degenerate fork width: every settled round must be the serial
+      // oracle's, whatever the depth/jitter/threading.
+      expect_settled_match_serial(result, serial_chain(cfg),
+                                  "scenario " + std::to_string(scenario));
+      ++oracle_checked;
     }
 
     if (scenario % 32 == 0) {
@@ -502,6 +512,8 @@ TEST(ConsensusSim, ForkChoiceFuzz) {
   }
   // The sweep must actually exercise the paths it exists to cover.
   EXPECT_GT(fork_choices_total + revocations_total, 0u);
+  EXPECT_GT(oracle_checked, 0u);
+  RecordProperty("serial_oracle_scenarios", std::to_string(oracle_checked));
 }
 
 // ---------------------------------------------------------------------------
@@ -713,28 +725,22 @@ TEST(ConsensusQuorum, PartitionHealRestoresQuorumLiveness) {
   }
 }
 
-TEST(ConsensusQuorum, ZeroFaultUnanimityMatchesBatchReference) {
-  // Differential gate for the quorum refactor itself: zero faults plus
-  // quorum_votes == n at depth 0 must settle the exact canonical chain of
-  // the frozen pre-quorum batch algorithm, bit for bit.
+TEST(ConsensusQuorum, ZeroFaultUnanimityMatchesSerialOracle) {
+  // Differential gate for the quorum loop itself: zero faults plus
+  // quorum_votes == n at depth 0 must settle every height on the serial
+  // oracle's chain, first attempt, with no deadline firing.
   ConsensusSimConfig cfg = adversarial_base();
   cfg.speculation_depth = 0;
   cfg.quorum_votes = cfg.validator_nodes;  // explicit unanimity
   cfg.vote_timeout_us = 60'000'000;  // no deadline can fire in a clean run
   const auto live = ConsensusSim(cfg).run();
-  const auto batch = ConsensusSim(cfg).run_batch_reference();
   ASSERT_TRUE(live.safety_held) << live.violation;
-  ASSERT_TRUE(batch.safety_held) << batch.violation;
-  ASSERT_EQ(live.rounds.size(), batch.rounds.size());
-  EXPECT_EQ(live.settled_height, batch.settled_height);
-  EXPECT_EQ(live.total_txs, batch.total_txs);
-  for (std::size_t i = 0; i < live.rounds.size(); ++i) {
-    EXPECT_TRUE(live.rounds[i].settled);
-    EXPECT_EQ(live.rounds[i].canonical_root, batch.rounds[i].canonical_root)
-        << "height " << i + 1;
-    EXPECT_EQ(live.rounds[i].txs, batch.rounds[i].txs);
-    EXPECT_EQ(live.rounds[i].attempts, 1u);
+  EXPECT_EQ(live.settled_height, cfg.rounds);
+  for (const auto& round : live.rounds) {
+    EXPECT_TRUE(round.settled);
+    EXPECT_EQ(round.attempts, 1u);
   }
+  expect_settled_match_serial(live, serial_chain(cfg), "unanimity");
   EXPECT_EQ(live.vote_timeouts + live.quorum_reproposals, 0u);
 }
 

@@ -33,8 +33,8 @@ struct PipelineFixture : ::testing::Test {
 TEST_F(PipelineFixture, SingleBlockHeight) {
   const std::vector<BlockBundle> siblings = {
       bundle_from(genesis, gen.next_batch(50), 1)};
-  PipelineConfig cfg;
-  cfg.workers = 8;
+  ValidatorConfig cfg;
+  cfg.threads = 8;
   ValidatorPipeline pipeline(cfg);
   ThreadPool workers(8);
   const auto result =
@@ -51,8 +51,8 @@ TEST_F(PipelineFixture, SiblingForksAllValidate) {
   for (int i = 0; i < 4; ++i)
     siblings.push_back(bundle_from(genesis, gen.next_batch(40), 1));
 
-  PipelineConfig cfg;
-  cfg.workers = 8;
+  ValidatorConfig cfg;
+  cfg.threads = 8;
   ValidatorPipeline pipeline(cfg);
   ThreadPool workers(8);
   const auto result =
@@ -63,34 +63,30 @@ TEST_F(PipelineFixture, SiblingForksAllValidate) {
   EXPECT_EQ(result.stats.blocks, 4u);
 }
 
-TEST_F(PipelineFixture, ConcurrentAndSequentialAgree) {
+TEST_F(PipelineFixture, ConcurrentSiblingsMatchPerBlockValidation) {
+  // Sibling blocks validate on concurrent driver threads; each verdict and
+  // root must match validating that block alone with BlockValidator.
   std::vector<BlockBundle> siblings;
   for (int i = 0; i < 3; ++i)
     siblings.push_back(bundle_from(genesis, gen.next_batch(30), 1));
+  siblings[2].block.header.state_root.bytes[0] ^= 0x55;  // one bad fork
 
-  PipelineConfig seq_cfg;
-  seq_cfg.workers = 4;
-  seq_cfg.concurrent_blocks = false;
-  PipelineConfig par_cfg = seq_cfg;
-  par_cfg.concurrent_blocks = true;
-
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   ThreadPool workers(4);
-  const auto seq = ValidatorPipeline(seq_cfg).process_height(
-      genesis, std::span(siblings), workers);
-  const auto par = ValidatorPipeline(par_cfg).process_height(
+  const auto piped = ValidatorPipeline(cfg).process_height(
       genesis, std::span(siblings), workers);
 
-  ASSERT_EQ(seq.outcomes.size(), par.outcomes.size());
-  for (std::size_t i = 0; i < seq.outcomes.size(); ++i) {
-    EXPECT_EQ(seq.outcomes[i].valid, par.outcomes[i].valid);
-    if (seq.outcomes[i].valid) {
-      EXPECT_EQ(seq.outcomes[i].exec.state_root,
-                par.outcomes[i].exec.state_root);
-    }
+  ASSERT_EQ(piped.outcomes.size(), siblings.size());
+  for (std::size_t i = 0; i < siblings.size(); ++i) {
+    const auto solo = BlockValidator(cfg).validate(
+        genesis, siblings[i].block, siblings[i].profile, workers);
+    EXPECT_EQ(piped.outcomes[i].valid, solo.valid) << "sibling " << i;
+    EXPECT_EQ(piped.outcomes[i].reject_reason, solo.reject_reason);
+    EXPECT_EQ(piped.outcomes[i].exec.state_root, solo.exec.state_root);
   }
-  // The virtual-time model is schedule-derived, not wall-clock-derived, so
-  // it is identical for both modes.
-  EXPECT_EQ(seq.stats.vtime_makespan, par.stats.vtime_makespan);
+  EXPECT_TRUE(piped.outcomes[0].valid) << piped.outcomes[0].reject_reason;
+  EXPECT_FALSE(piped.outcomes[2].valid);
 }
 
 TEST_F(PipelineFixture, ChainedHeightsThreadState) {
@@ -105,8 +101,8 @@ TEST_F(PipelineFixture, ChainedHeightsThreadState) {
       bundle_from(*r1.exec.post_state, gen.next_batch(30), 2);
 
   const std::vector<std::vector<BlockBundle>> heights = {{b1}, {b2}};
-  PipelineConfig cfg;
-  cfg.workers = 4;
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   ThreadPool workers(4);
   ChainSession session(cfg, genesis);
   for (const auto& siblings : heights) {
@@ -128,8 +124,8 @@ TEST_F(PipelineFixture, InvalidSiblingDoesNotPoisonOthers) {
   siblings.push_back(bundle_from(genesis, gen.next_batch(20), 1));
   siblings[1].block.header.state_root.bytes[0] ^= 0x55;  // corrupt fork
 
-  PipelineConfig cfg;
-  cfg.workers = 4;
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   ValidatorPipeline pipeline(cfg);
   ThreadPool workers(4);
   const auto result =
@@ -143,8 +139,8 @@ TEST_F(PipelineFixture, ChainSessionChooseRedirectsTip) {
   for (int i = 0; i < 2; ++i)
     siblings.push_back(bundle_from(genesis, gen.next_batch(25), 1));
 
-  PipelineConfig cfg;
-  cfg.workers = 4;
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   ThreadPool workers(4);
   ChainSession session(cfg, genesis);
   ASSERT_EQ(session.push_height(std::span(siblings), workers), 0u);
@@ -167,8 +163,8 @@ TEST_F(PipelineFixture, ChainSessionForkChoiceAdoptsSurvivorAndRevokes) {
 
   ThreadPool commit_pool(2);
   commit::CommitPipeline commits(&commit_pool);
-  PipelineConfig cfg;
-  cfg.workers = 4;
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   cfg.commit_pipeline = &commits;
   ThreadPool workers(4);
   ChainSession session(cfg, genesis);
@@ -206,8 +202,8 @@ TEST_F(PipelineFixture, ChainSessionCascadeMarksSuffixInvalid) {
 
   ThreadPool commit_pool(2);
   commit::CommitPipeline commits(&commit_pool);
-  PipelineConfig cfg;
-  cfg.workers = 4;
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   cfg.commit_pipeline = &commits;
   ThreadPool workers(4);
   ChainSession session(cfg, genesis);
@@ -231,8 +227,8 @@ TEST_F(PipelineFixture, ChainSessionQuorumFlagGatesSettlement) {
   // clear, is per-height, and survives the consensus loop's gate pattern
   // (check has_quorum before settle_next) without deadlocking a height
   // whose votes never arrive.
-  PipelineConfig cfg;
-  cfg.workers = 4;
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   ThreadPool workers(4);
   ChainSession session(cfg, genesis);
 
@@ -277,8 +273,8 @@ TEST_F(PipelineFixture, ChainSessionDropUnsettledRewindsTipAndDrainsCommits) {
   // the pipeline publishes the orphaned submissions instead of wedging.
   ThreadPool commit_pool(2);
   commit::CommitPipeline commits(&commit_pool);
-  PipelineConfig cfg;
-  cfg.workers = 4;
+  ValidatorConfig cfg;
+  cfg.threads = 4;
   cfg.commit_pipeline = &commits;
   ThreadPool workers(4);
   ChainSession session(cfg, genesis);
