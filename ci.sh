@@ -12,10 +12,11 @@
 # analysis cache, and bench_evm --smoke gates fast-vs-reference
 # bit-identity plus cache hit-rate floors.
 # The stm-labeled suites (Block-STM scheduler, multi-version memory, the
-# cross-engine differential, the host-threads hammer, and the preemption
+# cross-engine differential, the host-threads hammer, the preemption
 # hammer that replays Block-STM and OCC-WSI host-proposed blocks on a
-# replica) run in the default build and again under ThreadSanitizer (the
-# tsan-stm preset).
+# replica, the ThreadPool and its fork_join primitive, and the real-lane
+# subgraph-LPT validator) run in the default build and again under
+# ThreadSanitizer (the tsan-stm preset).
 # The db-labeled crash/recovery suites additionally run under combined
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a
 # tmpdir hygiene check: tests and benches must remove their page files.
@@ -112,7 +113,7 @@ ctest --preset tsan-net
 echo "==> tsan: evm-labeled tests (interpreter differential, shared analysis cache)"
 ctest --preset tsan-evm
 
-echo "==> tsan: stm-labeled tests (Block-STM scheduler + multi-version memory under real threads)"
+echo "==> tsan: stm-labeled tests (Block-STM, thread pool fork-join, validator lanes under real threads)"
 ctest --preset tsan-stm
 
 echo "==> tsan: engine-differential matrix (proposer x validator engines, adaptive selection)"

@@ -149,13 +149,7 @@ class Run {
         }
       }
     };
-    if (lanes == 1) {
-      lane_fn(0);
-    } else {
-      for (std::size_t lane = 0; lane < lanes; ++lane)
-        pool.submit([&lane_fn, lane] { lane_fn(lane); });
-      pool.wait_idle();
-    }
+    pool.fork_join(lanes, lane_fn);
     return ledger.makespan();
   }
 

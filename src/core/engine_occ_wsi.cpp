@@ -251,13 +251,7 @@ std::uint64_t drive_real(OccWsiRun& run, std::size_t lanes,
       run.decide(attempt);
     }
   };
-  if (lanes == 1) {
-    lane_loop(0);  // degenerate case: run inline (benchmark baseline)
-  } else {
-    for (std::size_t l = 0; l < lanes; ++l)
-      workers.submit([&lane_loop, l] { lane_loop(l); });
-    workers.wait_idle();
-  }
+  workers.fork_join(lanes, lane_loop);
   return ledger.makespan();
 }
 

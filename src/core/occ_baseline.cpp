@@ -52,13 +52,7 @@ TwoPhaseOccOutcome TwoPhaseOcc::validate(const state::WorldState& pre,
     }
   };
 
-  if (config_.threads == 1) {
-    run_lane(0);
-  } else {
-    for (std::size_t t = 0; t < config_.threads; ++t)
-      workers.submit([&run_lane, t] { run_lane(t); });
-    workers.wait_idle();
-  }
+  workers.fork_join(config_.threads, run_lane);
 
   // ---- Phase 2: in-order commit with value validation; stale or
   // non-executable speculations re-execute serially ----

@@ -48,21 +48,15 @@ PipelineResult ValidatorPipeline::process_height_speculative(
   // execute inside each driver via BlockValidator.  Sibling blocks touch
   // only their own copies of state, so drivers are independent.
   if (siblings.size() > 1) {
-    // Each driver gets its own single-block worker allotment through the
-    // shared pool; drivers themselves are dedicated jthreads because the
-    // applier blocks (a blocked pool worker would starve execution).
+    // Each driver's lanes run on the shared pool and join only themselves;
+    // drivers are dedicated jthreads because the applier blocks (a blocked
+    // pool worker would starve execution).
     std::vector<std::jthread> drivers;
     drivers.reserve(siblings.size());
-    // Dedicated single-thread validators avoid nested wait_idle() on the
-    // shared pool (its idle signal is pool-global, not per-block).  Real
-    // threads still contend for the host CPU exactly like shared workers.
     for (std::size_t b = 0; b < siblings.size(); ++b) {
       drivers.emplace_back([&, b] {
-        ValidatorConfig solo = config_;
-        solo.threads = 1;  // lanes fold into the driver thread
-        BlockValidator validator(solo);
-        result.outcomes[b] = validator.validate(pre, siblings[b].block,
-                                                siblings[b].profile, workers);
+        result.outcomes[b] = BlockValidator(config_).validate(
+            pre, siblings[b].block, siblings[b].profile, workers);
       });
     }
     drivers.clear();  // join

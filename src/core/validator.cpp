@@ -283,31 +283,36 @@ void replay_subgraph_lpt(const ValidatorConfig& config,
     }
   };
 
-  if (config.threads == 1) {
-    run_lane(0);
-  } else {
-    for (std::size_t t = 0; t < config.threads; ++t)
-      workers.submit([&run_lane, t] { run_lane(t); });
-  }
-
   // ---- Block Validation phase (applier, on the calling thread) ----
-  BlockApplier applier(config, pre, block, profile, outcome);
-  for (std::size_t i = 0; i < n && !board.failed; ++i) {
-    auto out = board.take(i);
-    if (!out.has_value()) break;
-    if (!applier.apply(i, out->result, out->reads, out->writes)) {
-      board.fail(outcome.reject_reason);
-      break;
+  std::optional<BlockApplier> applier;
+  auto apply_in_order = [&] {
+    applier.emplace(config, pre, block, profile, outcome);
+    for (std::size_t i = 0; i < n && !board.failed; ++i) {
+      auto out = board.take(i);
+      if (!out.has_value()) break;
+      if (!applier->apply(i, out->result, out->reads, out->writes)) {
+        board.fail(outcome.reject_reason);
+        break;
+      }
     }
-  }
-
-  if (config.threads > 1) workers.wait_idle();
+  };
+  // A throwing lane must still release the applier's take(), or the join
+  // never comes; fork_join rethrows once both sides are done.
+  auto guarded_lane = [&](std::size_t lane) {
+    try {
+      run_lane(lane);
+    } catch (...) {
+      board.fail("replay lane threw");
+      throw;
+    }
+  };
+  workers.fork_join(config.threads, guarded_lane, apply_in_order);
 
   if (board.failed.load(std::memory_order_acquire)) {
     outcome.reject_reason = board.fail_reason;
     return;
   }
-  applier.finish(ledger.makespan());
+  applier->finish(ledger.makespan());
 }
 
 /// Block-STM replay (docs/blockstm.md §8) of the block's preset order.  The

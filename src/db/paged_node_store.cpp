@@ -460,32 +460,51 @@ double PagedNodeStore::live_ratio() const {
   std::uint64_t live_bytes = 0;
   (void)walk_live(&live_bytes);
   std::scoped_lock lk(mu_);
+  return live_ratio_locked(live_bytes);
+}
+
+double PagedNodeStore::live_ratio_locked(std::uint64_t live_bytes) const {
   if (total_record_bytes_ == 0) return 1.0;
   return static_cast<double>(live_bytes) /
          static_cast<double>(total_record_bytes_);
 }
 
-Status PagedNodeStore::maybe_compact() {
-  {
-    std::scoped_lock lk(mu_);
-    if (compacting_) return Status::error(ErrorCode::kBusy, "compacting");
-    if (file_->file_bytes() < opts_.min_sweep_bytes) return Status::Ok();
-  }
-  if (live_ratio() >= opts_.sweep_live_ratio) return Status::Ok();
-  return compact();
-}
+Status PagedNodeStore::maybe_compact() { return sweep(true); }
 
-Status PagedNodeStore::compact() {
+Status PagedNodeStore::compact() { return sweep(false); }
+
+// One walk both decides and feeds the copy.  compacting_ is set before it,
+// so a put racing the walk lands in puts_during_compaction_ whichever way
+// the decision falls.
+Status PagedNodeStore::sweep(bool only_if_sparse) {
   {
     std::scoped_lock lk(mu_);
     if (compacting_)
       return Status::error(ErrorCode::kBusy, "compaction already running");
+    if (only_if_sparse && file_->file_bytes() < opts_.min_sweep_bytes)
+      return Status::Ok();
     compacting_ = true;
     puts_during_compaction_.clear();
   }
+  auto abort_compaction = [&](Status why) {
+    std::scoped_lock lk(mu_);
+    compacting_ = false;
+    puts_during_compaction_.clear();
+    return why;
+  };
+
+  std::uint64_t live_bytes = 0;
+  const std::unordered_set<Hash256> live = walk_live(&live_bytes);
+  if (only_if_sparse) {
+    double ratio = 1.0;
+    {
+      std::scoped_lock lk(mu_);
+      ratio = live_ratio_locked(live_bytes);
+    }
+    if (ratio >= opts_.sweep_live_ratio) return abort_compaction(Status::Ok());
+  }
 
   // Copy phase (out of lock): rewrite the live set into a fresh file.
-  const std::unordered_set<Hash256> live = walk_live(nullptr);
   const std::uint64_t new_seq = file_seq_ + 1;
   const std::string new_path = dir_ + "/" + data_file_name(new_seq);
   (void)PageFile::unlink(new_path);  // stale leftover from a crashed sweep
@@ -493,12 +512,6 @@ Status PagedNodeStore::compact() {
   fopts.page_size = opts_.page_size;
   std::unique_ptr<PageFile> new_file;
   Status st = PageFile::open(new_path, fopts, 0, new_file);
-  auto abort_compaction = [&](Status why) {
-    std::scoped_lock lk(mu_);
-    compacting_ = false;
-    puts_during_compaction_.clear();
-    return why;
-  };
   if (!st.ok()) return abort_compaction(st);
 
   std::unordered_map<Hash256, PageRef> new_index;

@@ -86,7 +86,8 @@ class PagedNodeStore final : public NodeStore {
   Status compact();
 
   /// compact() iff live ratio < sweep_live_ratio and the file is big
-  /// enough to bother.  The background sweeper calls exactly this.
+  /// enough to bother.  The background sweeper calls exactly this.  One
+  /// live-set walk both decides and feeds the copy.
   Status maybe_compact();
 
   /// Fraction of stored record bytes reachable from the retained roots
@@ -110,6 +111,9 @@ class PagedNodeStore final : public NodeStore {
   /// Live record set (hashes) from retained roots + young appends;
   /// locks per record, so commits interleave with the walk.
   std::unordered_set<Hash256> walk_live(std::uint64_t* live_bytes) const;
+  double live_ratio_locked(std::uint64_t live_bytes) const;
+  /// compact() (only_if_sparse false) or maybe_compact() (true).
+  Status sweep(bool only_if_sparse);
   static std::string data_file_name(std::uint64_t seq);
 
   std::string dir_;

@@ -4,6 +4,11 @@
 // threads are created once and reused for every block) and CP.24/CP.25
 // (joining threads, no detach).  Tasks are type-erased std::move_only_function
 // objects; submission never blocks, shutdown drains outstanding tasks.
+//
+// One pool is shared by a node's execution regions (proposer and validator
+// lanes), its commit pipeline and its store sweeps.  A parallel region
+// therefore joins through fork_join(), which waits for that region's own
+// lanes only; wait_idle() would also wait for every other submitter's work.
 #pragma once
 
 #include <atomic>
@@ -11,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -33,7 +39,20 @@ class ThreadPool {
   /// Enqueues a task for execution by any worker.
   void submit(Task task);
 
-  /// Blocks until every submitted task has finished and the queue is empty.
+  /// Runs lane(0) .. lane(lanes - 1) on the pool and `caller` (if any) on
+  /// the calling thread meanwhile, then returns once every lane has
+  /// returned.  Waits for nothing else on the pool: tasks other submitters
+  /// queued (commit seals, persists, store sweeps) keep running.  With
+  /// lanes == 1, lane(0) runs inline, then `caller`.  The first exception a
+  /// lane or `caller` throws is rethrown here, after every lane has
+  /// returned.  Must not be called from one of this pool's own workers.
+  void fork_join(std::size_t lanes,
+                 const std::function<void(std::size_t)>& lane,
+                 const std::function<void()>& caller = {});
+
+  /// Blocks until the pool is idle: the queue is empty and no task runs.
+  /// Drains *every* submitter's tasks, not just the caller's, so it is for
+  /// teardown and tests only; parallel regions join with fork_join().
   void wait_idle();
 
   std::size_t size() const noexcept { return workers_.size(); }
@@ -71,6 +90,7 @@ class ThreadPool {
   alignas(kCacheLine) std::vector<std::jthread> workers_;
 
   static thread_local std::size_t worker_index_;
+  static thread_local const ThreadPool* worker_pool_;  // pool of this worker
 };
 
 }  // namespace blockpilot

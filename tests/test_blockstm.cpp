@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
+#include <tuple>
 
 #include "core/blockpilot.hpp"
 #include "sched/blockstm_scheduler.hpp"
@@ -520,6 +523,47 @@ TEST(BlockStmHammer, HostBlocksPassReplicaUnderPreemption) {
       }
     }
   }
+}
+
+TEST(BlockStmHammer, HostProposalsJoinOnlyTheirOwnLanes) {
+  // A foreign task parked on the shared pool (a seal, a persist, a store
+  // sweep) must not hold up a real-thread proposal or its replay: each
+  // region joins only the lanes it submitted.
+  ThreadPool workers(6);
+  std::promise<void> gate;
+  workers.submit([parked = gate.get_future().share()] { parked.wait(); });
+
+  for (const ScheduleMode mode :
+       {ScheduleMode::kHostThreads, ScheduleMode::kBlockStmHost}) {
+    workload::WorkloadGenerator gen(workload::preset_mainnet());
+    const WorldState genesis = gen.genesis();
+    txpool::TxPool pool;
+    pool.add_all(gen.next_batch(120));
+    ProposerConfig pc;
+    pc.mode = mode;
+    pc.threads = 4;
+    ValidatorConfig vc;
+    vc.threads = 4;
+
+    auto round = std::async(std::launch::async, [&] {
+      const ProposedBlock block =
+          BlockProposer(pc).propose(genesis, ctx_for(1), pool, workers);
+      const ValidationOutcome outcome = BlockValidator(vc).validate(
+          genesis, block.block, block.profile, workers);
+      return std::make_tuple(block.block.transactions.size(),
+                             block.block.header.state_root, outcome);
+    });
+    const bool finished = round.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    if (!finished) gate.set_value();  // unpark so the round can drain
+    const auto [txs, header_root, outcome] = round.get();
+    ASSERT_TRUE(finished) << "mode " << static_cast<int>(mode)
+                          << " waited for a task it did not submit";
+    EXPECT_GT(txs, 0u);
+    EXPECT_TRUE(outcome.valid) << outcome.reject_reason;
+    EXPECT_EQ(outcome.exec.state_root, header_root);
+  }
+  gate.set_value();
 }
 
 // ---- driver integration ---------------------------------------------------

@@ -434,16 +434,10 @@ TEST(DbDifferential, TrieRoots512BlocksWithCrashAt256) {
 
 // -------------------------------------------------------------- compaction
 
-TEST(PagedNodeStore, CompactionKeepsLiveSetAndReclaimsDeadBytes) {
-  TempDir dir;
-  db::PagedNodeStore::Options opts;
-  opts.page_size = 512;
-  opts.retained_roots = 4;
-  std::unique_ptr<db::PagedNodeStore> store;
-  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
-
-  // Overwrite a tiny keyspace again and again: almost every old node dies.
-  MerklePatriciaTrie t;
+/// Overwrites a tiny keyspace again and again, committing every block:
+/// almost every old node dies.  Returns the last root.
+Hash256 write_overwrite_history(MerklePatriciaTrie& t,
+                                db::PagedNodeStore& store) {
   Hash256 root;
   Xoshiro256 rng(31337);
   for (std::uint64_t block = 0; block < 120; ++block) {
@@ -455,9 +449,22 @@ TEST(PagedNodeStore, CompactionKeepsLiveSetAndReclaimsDeadBytes) {
       t.put(std::span<const std::uint8_t>(key, sizeof(key)), std::span(value));
     }
     root = t.root_hash();
-    t.persist_nodes(*store);
-    ASSERT_TRUE(store->commit_root(root, block).ok());
+    t.persist_nodes(store);
+    EXPECT_TRUE(store.commit_root(root, block).ok());
   }
+  return root;
+}
+
+TEST(PagedNodeStore, CompactionKeepsLiveSetAndReclaimsDeadBytes) {
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 512;
+  opts.retained_roots = 4;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+
+  MerklePatriciaTrie t;
+  const Hash256 root = write_overwrite_history(t, *store);
 
   const auto before = store->stats();
   const std::uint64_t seq_before = store->file_seq();
@@ -494,6 +501,41 @@ TEST(PagedNodeStore, CompactionKeepsLiveSetAndReclaimsDeadBytes) {
   trie::NodeCache::global().clear();
   reloaded = MerklePatriciaTrie::from_root(root, *store);
   EXPECT_EQ(reloaded.root_hash(), root);
+}
+
+TEST(PagedNodeStore, MaybeCompactDecidesFromItsOwnWalk) {
+  // The sweep walks the live set once: that walk's bytes decide, and the
+  // same set feeds the copy.  An abandoned sweep must leave the store free
+  // for the next one.
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 512;
+  opts.retained_roots = 4;
+  opts.min_sweep_bytes = 0;
+  opts.sweep_live_ratio = 0.0;  // no live ratio falls below: abandon
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  MerklePatriciaTrie t;
+  const Hash256 root = write_overwrite_history(t, *store);
+  const std::uint64_t seq = store->file_seq();
+
+  // Twice: the first abandoned sweep must not leave the store busy.
+  ASSERT_TRUE(store->maybe_compact().ok());
+  ASSERT_TRUE(store->maybe_compact().ok());
+  EXPECT_EQ(store->file_seq(), seq);
+  EXPECT_EQ(store->stats().compactions, 0u);
+
+  // Reopened with the default threshold, the same history compacts.
+  store.reset();
+  opts.sweep_live_ratio = 0.5;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  ASSERT_LT(store->live_ratio(), 0.5);
+  ASSERT_TRUE(store->maybe_compact().ok());
+  EXPECT_EQ(store->file_seq(), seq + 1);
+  EXPECT_EQ(store->stats().compactions, 1u);
+  EXPECT_GE(store->live_ratio(), 0.5);
+  trie::NodeCache::global().clear();
+  EXPECT_EQ(MerklePatriciaTrie::from_root(root, *store).root_hash(), root);
 }
 
 // ------------------------------------------------------- chain-level parity

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/mpmc_queue.hpp"
 #include "support/rng.hpp"
@@ -115,6 +122,100 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
       pool.submit([&counter] { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 50);
+}
+
+// ---- fork_join: a region joins its own lanes, nothing else --------------
+// Waits are bounded, so a join that also waits for foreign work fails by
+// timeout instead of hanging the suite.
+constexpr auto kJoinTimeout = std::chrono::seconds(10);
+
+TEST(ThreadPool, ForkJoinIgnoresForeignTasks) {
+  ThreadPool pool(4);
+  std::promise<void> gate;
+  pool.submit([parked = gate.get_future().share()] { parked.wait(); });
+
+  std::atomic<int> ran{0};
+  auto region = std::async(std::launch::async, [&] {
+    pool.fork_join(2, [&](std::size_t) { ran.fetch_add(1); });
+  });
+  const bool joined = region.wait_for(kJoinTimeout) == std::future_status::ready;
+  gate.set_value();  // release the foreign task either way
+  region.get();
+  EXPECT_TRUE(joined) << "fork_join waited for a task it did not submit";
+  EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(ThreadPool, ForkJoinSingleLaneRunsInlineBeforeCaller) {
+  ThreadPool pool(2);
+  const auto self = std::this_thread::get_id();
+  std::vector<std::string> order;
+  pool.fork_join(
+      1,
+      [&](std::size_t lane) {
+        EXPECT_EQ(lane, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        order.push_back("lane");
+      },
+      [&] {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        order.push_back("caller");
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{"lane", "caller"}));
+  EXPECT_EQ(pool.tasks_executed(), 0u);
+}
+
+TEST(ThreadPool, ForkJoinCallerRunsWhileLanesRun) {
+  // Each lane waits for the caller's signal, and the caller waits until
+  // every lane has started: both sides must be live at once.
+  constexpr std::size_t kLanes = 3;
+  ThreadPool pool(4);
+  std::promise<void> go;
+  const std::shared_future<void> signal = go.get_future().share();
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> saw_signal{0};
+  std::set<std::size_t> lanes_seen;
+  std::mutex mu;
+  const auto self = std::this_thread::get_id();
+  bool caller_saw_lanes = false;
+  pool.fork_join(
+      kLanes,
+      [&](std::size_t lane) {
+        EXPECT_NE(std::this_thread::get_id(), self);
+        {
+          std::scoped_lock lk(mu);
+          lanes_seen.insert(lane);
+        }
+        started.fetch_add(1);
+        if (signal.wait_for(kJoinTimeout) == std::future_status::ready)
+          saw_signal.fetch_add(1);
+      },
+      [&] {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        const auto deadline = std::chrono::steady_clock::now() + kJoinTimeout;
+        while (started.load() < kLanes &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+        caller_saw_lanes = started.load() == kLanes;
+        go.set_value();
+      });
+  EXPECT_TRUE(caller_saw_lanes);
+  EXPECT_EQ(saw_signal.load(), kLanes);
+  EXPECT_EQ(lanes_seen, (std::set<std::size_t>{0, 1, 2}));
+}
+
+TEST(ThreadPool, ForkJoinRethrowsAfterEveryLaneReturns) {
+  ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.fork_join(3,
+                              [&](std::size_t lane) {
+                                if (lane == 1)
+                                  throw std::runtime_error("lane failed");
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(20));
+                                finished.fetch_add(1);
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 2);  // the join outlived the failure
 }
 
 TEST(MpmcQueue, FifoSingleThread) {

@@ -3,6 +3,9 @@
 // header, and reject tampered ones.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+
 #include "core/blockpilot.hpp"
 
 namespace blockpilot::core {
@@ -216,6 +219,30 @@ TEST_F(ValidatorFixture, ValidatesOccWsiProposedBlock) {
       validator.validate(genesis, proposed.block, proposed.profile, workers);
   EXPECT_TRUE(outcome.valid) << outcome.reject_reason;
   EXPECT_EQ(outcome.exec.state_root, proposed.block.header.state_root);
+}
+
+TEST_F(ValidatorFixture, ReplayJoinsOnlyItsOwnLanes) {
+  // The pool is shared with other submitters (commit seals, persists, store
+  // sweeps).  A foreign task parked on it must not hold up the replay: the
+  // lanes fit in the free workers, and the replay joins only those.
+  const auto bundle = honest_block(100);
+  ThreadPool workers(4);
+  std::promise<void> gate;
+  workers.submit([parked = gate.get_future().share()] { parked.wait(); });
+
+  ValidatorConfig cfg;
+  cfg.threads = 3;
+  BlockValidator validator(cfg);
+  auto replay = std::async(std::launch::async, [&] {
+    return validator.validate(genesis, bundle.block, bundle.profile, workers);
+  });
+  const bool finished = replay.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  gate.set_value();  // release the foreign task either way
+  const ValidationOutcome outcome = replay.get();
+  ASSERT_TRUE(finished) << "validate() waited for a task it did not submit";
+  EXPECT_TRUE(outcome.valid) << outcome.reject_reason;
+  EXPECT_EQ(outcome.exec.state_root, bundle.block.header.state_root);
 }
 
 // ---- Block-STM validator engine (docs/blockstm.md §8) ---------------------
