@@ -76,8 +76,7 @@ std::vector<RootSample> run_root_recompute(double* oracle_mismatch) {
     parent = chain.back().post_state.get();
   }
 
-  state::WorldState running = genesis;
-  (void)running.state_root();  // commit the baseline
+  state::WorldState running = genesis;  // committed baseline (memo carried)
 
   std::vector<RootSample> samples;
   *oracle_mismatch = 0;
@@ -108,11 +107,10 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
   workload::WorkloadConfig wc = workload::preset_mainnet();
   wc.seed = 0xF19;
   workload::WorkloadGenerator gen(wc);
-  state::WorldState genesis = gen.genesis();
-  // A live node starts from a parent whose commitment is final: commit the
-  // genesis root outside the timed region so height 1 doesn't pay the
-  // one-off whole-state build in either mode.
-  (void)genesis.state_root();
+  // A live node starts from a parent whose commitment is final: genesis()
+  // returns a committed state, so height 1 doesn't pay the one-off
+  // whole-state build in either mode.
+  const state::WorldState genesis = gen.genesis();
 
   core::ProposerConfig cfg;
   cfg.threads = 4;
@@ -152,6 +150,20 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
 }
 
 // ---- experiment 3: finalize-time copies racing an in-flight commit ----
+// A never-rooted state with `src`'s contents: every account is replayed
+// through the write API, so the first state_root() builds the whole trie.
+state::WorldState uncommitted_copy(const state::WorldState& src) {
+  state::WorldState ws;
+  for (const auto& [addr, acct] : src.accounts()) {
+    ws.set(state::StateKey::balance(addr), acct.balance);
+    ws.set(state::StateKey::nonce(addr), U256{acct.nonce});
+    if (acct.code != nullptr) ws.set_code(addr, *acct.code);
+    for (const auto& [slot, value] : acct.storage)
+      ws.set(state::StateKey::storage(addr, slot), value);
+  }
+  return ws;
+}
+
 struct CopyUnderCommit {
   double commit_ms = 0.0;         // wall of the in-flight state_root()
   double copy_idle_ms = 0.0;      // best-of-3 copy with no commit running
@@ -169,7 +181,7 @@ CopyUnderCommit run_copy_under_commit() {
   // Heavyweight commit: genesis is never rooted, and every block's writes
   // pile onto the dirty set, so the pool thread's state_root() builds the
   // entire trie in one go.
-  state::WorldState running = gen.genesis();
+  state::WorldState running = uncommitted_copy(gen.genesis());
   {
     std::shared_ptr<state::WorldState> keep;
     const state::WorldState* parent = &running;

@@ -380,12 +380,11 @@ int main(int argc, char** argv) {
                  "    {\"depth\": %zu, \"settle_latency_ms\": %.4f, "
                  "\"round_latency_ms\": %.4f, \"makespan_ms\": %.4f, "
                  "\"stall_ms\": %.4f, \"throughput_tx_s\": %.1f, "
-                 "\"speculative_votes\": %llu, \"seeds_adopted\": %llu}%s\n",
+                 "\"speculative_votes\": %llu}%s\n",
                  kDepths[i], r.avg_settle_latency_ms(),
                  r.avg_round_latency_ms(), r.makespan_us / 1000.0,
                  r.settle_stall_us / 1000.0, tx_per_s(r),
                  (unsigned long long)r.speculative_votes,
-                 (unsigned long long)r.seeds_adopted,
                  i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

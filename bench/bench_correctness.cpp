@@ -7,7 +7,8 @@
 // Here: a chain of generated blocks is built by the OCC-WSI proposer; at
 // every height the serial oracle, the scheduled parallel validator, the
 // two-phase OCC baseline and the pipeline must all reproduce the
-// proposer's state root bit-for-bit.  Any divergence aborts with a diff.
+// proposer's state root bit-for-bit.  The first divergence is printed and
+// stops the replay with exit status 1.
 #include "bench_common.hpp"
 
 namespace blockpilot::bench {
@@ -15,7 +16,7 @@ namespace {
 
 constexpr std::uint64_t kHeights = 30;
 
-void run() {
+bool run() {
   print_header("Correctness replay (§5.2 analogue)",
                "all engines produce identical MPT roots at every height");
 
@@ -50,7 +51,7 @@ void run() {
         serial.exec.state_root != blk.block.header.state_root) {
       std::printf("DIVERGENCE: serial oracle at height %llu\n",
                   static_cast<unsigned long long>(height));
-      return;
+      return false;
     }
 
     // Oracle 2: scheduled parallel validator.
@@ -60,7 +61,7 @@ void run() {
       std::printf("DIVERGENCE: validator at height %llu: %s\n",
                   static_cast<unsigned long long>(height),
                   validated.reject_reason.c_str());
-      return;
+      return false;
     }
 
     // Oracle 3: two-phase OCC baseline.
@@ -70,7 +71,7 @@ void run() {
       std::printf("DIVERGENCE: two-phase OCC at height %llu: %s\n",
                   static_cast<unsigned long long>(height),
                   occ.reject_reason.c_str());
-      return;
+      return false;
     }
 
     // Oracle 4: pipeline (single-height path).
@@ -82,7 +83,7 @@ void run() {
     if (!piped.all_valid()) {
       std::printf("DIVERGENCE: pipeline at height %llu\n",
                   static_cast<unsigned long long>(height));
-      return;
+      return false;
     }
 
     roots_checked += 4;
@@ -95,9 +96,10 @@ void run() {
               static_cast<unsigned long long>(txs_total),
               static_cast<unsigned long long>(roots_checked));
   std::printf("RESULT: all engines agree on every state root (PASS)\n");
+  return true;
 }
 
 }  // namespace
 }  // namespace blockpilot::bench
 
-int main() { blockpilot::bench::run(); }
+int main() { return blockpilot::bench::run() ? 0 : 1; }

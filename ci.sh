@@ -64,6 +64,13 @@ echo "==> perf-smoke: bench_versioned_state --smoke (sharded-store + engine gate
 # Time-capped so a livelocked store cannot hang CI.
 timeout 120 ./build/bench/bench_versioned_state --smoke
 
+echo "==> perf-smoke: bench_correctness (engine state-root agreement)"
+# The §5.2 replay: at every one of 30 heights the serial oracle, the
+# subgraph-LPT validator, the two-phase OCC baseline and the pipeline must
+# reproduce the proposer's state root bit-for-bit.  Exits 1 on the first
+# divergence.  ~3 s; the best end-to-end gate for commitment changes.
+timeout 120 ./build/bench/bench_correctness
+
 echo "==> perf-smoke: bench_db --smoke (paged-store gates)"
 # Fails on crash or on any db gate: warm-cache replay not faster than the
 # cold run, cache hit rate not strictly inside (0, 100)% with the cache

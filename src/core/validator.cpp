@@ -172,9 +172,6 @@ class BlockApplier {
     }
 
     outcome_.expected_state_root = block_.header.state_root;
-    if (config_.seed_directory != nullptr)
-      post_->adopt_block_seeds(
-          config_.seed_directory->for_block(block_.header.hash()));
     if (config_.commit_pipeline != nullptr) {
       // ---- Block Commitment, asynchronous ----
       // The root computation moves onto the commit pipeline; `valid` is

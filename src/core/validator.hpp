@@ -93,10 +93,6 @@ struct ValidatorConfig {
   /// happens in ValidationOutcome::await_commit().  When null, the root is
   /// checked inline (original behavior).
   commit::CommitPipeline* commit_pipeline = nullptr;
-  /// When set, the post state adopts the block-hash-keyed seed set before
-  /// commitment, so sibling validators of the same block build each dirty
-  /// account's storage fold once and share it (see state::BlockSeedSet).
-  state::BlockSeedDirectory* seed_directory = nullptr;
   /// CodeAnalysis cache the workers' interpreters resolve bytecode through
   /// (null = the process-wide evm::CodeAnalysisCache::global()).  Tests and
   /// benches point this at a private cache to isolate hit-rate accounting.

@@ -193,7 +193,6 @@ class EventDriver {
       // timeout/re-propose path like any other quorum miss.
       vcfg.commit_pipeline =
           config_.commit_threads > 0 ? node->commits.get() : nullptr;
-      if (config_.share_block_seeds) vcfg.seed_directory = &seed_dir_;
       vcfg.analysis_cache = &node->analysis;
       node->session = std::make_unique<core::ChainSession>(vcfg, genesis_);
       nodes_.push_back(std::move(node));
@@ -221,7 +220,7 @@ class EventDriver {
     }
 
     // Abandoned speculative commitments (dropped by re-proposals) may still
-    // be in flight; drain so the seed-sharing counters see every one.
+    // be in flight; drain so the run returns with the commit pool idle.
     for (const auto& node : nodes_) node->commits->drain();
     proposer_commits_->drain();
 
@@ -233,11 +232,6 @@ class EventDriver {
     result_.messages_duplicated = fs.duplicated;
     result_.messages_reordered = fs.reordered;
     result_.messages_partitioned = fs.partitioned;
-    if (config_.share_block_seeds) {
-      const state::BlockSeedDirectory::Stats s = seed_dir_.stats();
-      result_.seeds_built = s.seeds_built;
-      result_.seeds_adopted = s.seeds_adopted;
-    }
     return std::move(result_);
   }
 
@@ -791,7 +785,6 @@ class EventDriver {
   ThreadPool workers_;
   std::unique_ptr<ThreadPool> commit_pool_;
   std::unique_ptr<commit::CommitPipeline> proposer_commits_;
-  state::BlockSeedDirectory seed_dir_;
   evm::CodeAnalysisCache proposer_analysis_;
   core::ProposerConfig pcfg_;
   // Per-proposer conflict-ratio memory for ScheduleMode::kAdaptive (engines

@@ -131,10 +131,6 @@ struct ConsensusSimConfig {
   /// lost (quorum_failures; safety still holds).  Attempts consumed by
   /// fork-choice re-proposals count too.
   std::size_t max_propose_attempts = 8;
-  /// Publish per-account storage seeds keyed by block hash so sibling
-  /// validators of the same block share trie rebuild work (stats report
-  /// seeds_built / seeds_adopted).
-  bool share_block_seeds = true;
   workload::WorkloadConfig workload = workload::preset_mainnet();
   LinkModel link;
 };
@@ -189,9 +185,6 @@ struct ConsensusSimResult {
   std::uint64_t reproposed_blocks = 0;
   /// Settlement failures resolved by adopting a surviving sibling.
   std::uint64_t fork_choices = 0;
-  /// Block-seed sharing effectiveness across sibling validators.
-  std::uint64_t seeds_built = 0;
-  std::uint64_t seeds_adopted = 0;
   /// Vote deadlines that fired (a validator waited out its backoff without
   /// deciding the height).
   std::uint64_t vote_timeouts = 0;

@@ -7,42 +7,6 @@
 
 namespace blockpilot::state {
 
-std::shared_ptr<StorageSeed> BlockSeedSet::cell_for(const Address& addr) {
-  std::scoped_lock lk(mu_);
-  auto& cell = cells_[addr];
-  if (cell == nullptr) cell = std::make_shared<StorageSeed>();
-  return cell;
-}
-
-std::size_t BlockSeedSet::size() const {
-  std::scoped_lock lk(mu_);
-  return cells_.size();
-}
-
-std::shared_ptr<BlockSeedSet> BlockSeedDirectory::for_block(
-    const Hash256& block_hash) {
-  std::scoped_lock lk(mu_);
-  auto& set = sets_[block_hash];
-  if (set == nullptr) set = std::make_shared<BlockSeedSet>();
-  return set;
-}
-
-BlockSeedDirectory::Stats BlockSeedDirectory::stats() const {
-  std::scoped_lock lk(mu_);
-  Stats s;
-  s.blocks = sets_.size();
-  for (const auto& [hash, set] : sets_) {
-    s.seeds_built += set->seeds_built.load(std::memory_order_relaxed);
-    s.seeds_adopted += set->seeds_adopted.load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
-void BlockSeedDirectory::clear() {
-  std::scoped_lock lk(mu_);
-  sets_.clear();
-}
-
 std::string StateKey::to_string() const {
   switch (field) {
     case Field::kBalance:
@@ -129,18 +93,6 @@ U256 WorldState::get(const StateKey& key) const {
   return U256{};
 }
 
-// A storage write changes the slot map's content-version, so the account
-// must leave any seed cell that copies may still share or that was already
-// filled.  A still-private, unfilled cell has never been observed by anyone
-// else and can absorb consecutive writes from this lineage.
-static void refresh_storage_seed(AccountData& acct) {
-  auto& cell = acct.storage_seed;
-  if (cell != nullptr && cell.use_count() == 1 &&
-      !cell->ready.load(std::memory_order_relaxed))
-    return;
-  cell = std::make_shared<StorageSeed>();
-}
-
 void WorldState::set(const StateKey& key, const U256& value) {
   AccountData& acct = account(key.addr);
   switch (key.field) {
@@ -158,7 +110,6 @@ void WorldState::set(const StateKey& key, const U256& value) {
         acct.storage.erase(key.slot);
       else
         acct.storage[key.slot] = value;
-      refresh_storage_seed(acct);
       mark_dirty_slot(key.addr, key.slot);
       break;
   }
@@ -217,10 +168,10 @@ Bytes encode_account(const AccountData& acct, const Hash256& storage_root) {
 //
 //   collect (commit_mu_)   snapshot the dirty set into per-account folds:
 //                          persistent copies of the storage tries to apply
-//                          slots to, seed cells for fresh accounts, memoized
-//                          roots for body-only changes.  No hashing.
-//   hash    (unlocked)     build/adopt/apply storage tries, hash their
-//                          roots, RLP-encode the accounts.  Reads accounts_
+//                          slots to, memoized roots for body-only changes.
+//                          No hashing.
+//   hash    (unlocked)     build/apply storage tries, hash their roots,
+//                          RLP-encode the accounts.  Reads accounts_
 //                          without the lock — writes never race with root
 //                          queries by contract, so the maps are stable.
 //   install (commit_mu_)   fold results back into commit_ and the account
@@ -231,7 +182,7 @@ Bytes encode_account(const AccountData& acct, const Hash256& storage_root) {
 //   root    (unlocked)     hash the snapshot's root.
 //   memo    (commit_mu_)   publish the memo if nothing re-dirtied.
 //
-// The fold is idempotent — re-seeding a fresh account or re-applying dirty
+// The fold is idempotent — rebuilding a fresh account or re-applying dirty
 // slots from the current accounts_ values reproduces the same tries — so a
 // copy taken between any two phases (which still sees the dirty set) simply
 // re-folds on its own first state_root() and lands on the same root.
@@ -243,30 +194,11 @@ struct WorldState::StorageFold {
   Address addr;
   Kind kind = Kind::kBodyOnly;
   const AccountData* acct = nullptr;  // stable: no writes during root calls
-  std::shared_ptr<StorageSeed> seed;  // kBuild: the account's cell (may be null)
-  std::shared_ptr<StorageSeed> block_cell;  // block-level cell (may be null)
   trie::SecureTrie trie;              // working persistent copy
   std::vector<U256> slots;            // kApplySlots: touched slots
   Hash256 storage_root;
   Bytes encoded;                      // account RLP, produced off-lock
-  bool adopted = false;               // kBuild: served from a ready seed
-  bool published = false;             // this computation filled the account cell
-  bool block_adopted = false;         // served from the block cell
-  bool block_published = false;       // this computation filled the block cell
 };
-
-/// One-time fill of a seed cell (account- or block-level).  Returns whether
-/// this call published; a no-op on an already-ready cell.
-static bool publish_seed(const std::shared_ptr<StorageSeed>& cell,
-                         const trie::SecureTrie& trie, const Hash256& root) {
-  if (cell == nullptr) return false;
-  std::scoped_lock sl(cell->mu);
-  if (cell->ready.load(std::memory_order_relaxed)) return false;
-  cell->trie = trie;
-  cell->storage_root = root;
-  cell->ready.store(true, std::memory_order_release);
-  return true;
-}
 
 std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
   std::vector<StorageFold> folds;
@@ -278,7 +210,7 @@ std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
     const auto ait = accounts_.find(addr);
     if (ait == accounts_.end() || ait->second.empty_account()) {
       // Pruned like post-EIP-161: drop from the commitment (and the memo,
-      // so a later resurrection rebuilds — or re-adopts its seed).
+      // so a later resurrection rebuilds its storage trie).
       f.kind = StorageFold::Kind::kPrune;
       folds.push_back(std::move(f));
       continue;
@@ -287,7 +219,6 @@ std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
     AccountCommit& cc = commit_[addr];
     if (cc.fresh) {
       f.kind = StorageFold::Kind::kBuild;
-      f.seed = ait->second.storage_seed;
     } else if (!slots.empty()) {
       f.kind = StorageFold::Kind::kApplySlots;
       f.trie = cc.storage_trie;  // persistent: puts off-lock path-copy
@@ -296,11 +227,6 @@ std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
       f.kind = StorageFold::Kind::kBodyOnly;
       f.storage_root = cc.storage_root;
     }
-    // Block-level sharing: folds that would hash (build or apply) rendezvous
-    // with sibling replicas of the same block through a per-account cell.
-    if (block_seeds_ != nullptr && (f.kind == StorageFold::Kind::kBuild ||
-                                    f.kind == StorageFold::Kind::kApplySlots))
-      f.block_cell = block_seeds_->cell_for(addr);
     folds.push_back(std::move(f));
   }
   return folds;
@@ -311,48 +237,16 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
     switch (f.kind) {
       case StorageFold::Kind::kPrune:
         continue;
-      case StorageFold::Kind::kBuild: {
-        if (f.seed != nullptr &&
-            f.seed->ready.load(std::memory_order_acquire)) {
-          // Another lineage already committed this exact slot map (cell
-          // identity guarantees content identity): adopt its trie in O(1).
-          f.trie = f.seed->trie;
-          f.storage_root = f.seed->storage_root;
-          f.adopted = true;
-        } else if (f.block_cell != nullptr &&
-                   f.block_cell->ready.load(std::memory_order_acquire)) {
-          // A sibling replica of the same block already built this account's
-          // post-block trie (deterministic replay guarantees content
-          // identity): adopt it in O(1).
-          f.trie = f.block_cell->trie;
-          f.storage_root = f.block_cell->storage_root;
-          f.adopted = true;
-          f.block_adopted = true;
-        } else {
-          for (const auto& [slot, value] : f.acct->storage) {
-            if (value.is_zero()) continue;
-            const auto key = slot.to_be_bytes();
-            const auto encoded = rlp::encode(value);
-            f.trie.put(std::span(key), std::span(encoded));
-          }
-          f.storage_root = f.trie.root_hash();
+      case StorageFold::Kind::kBuild:
+        for (const auto& [slot, value] : f.acct->storage) {
+          if (value.is_zero()) continue;
+          const auto key = slot.to_be_bytes();
+          const auto encoded = rlp::encode(value);
+          f.trie.put(std::span(key), std::span(encoded));
         }
-        // Cross-publish so whichever cell is still empty serves the next
-        // replica (an already-ready cell makes publish_seed a no-op).
-        f.published = publish_seed(f.seed, f.trie, f.storage_root);
-        f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
+        f.storage_root = f.trie.root_hash();
         break;
-      }
-      case StorageFold::Kind::kApplySlots: {
-        if (f.block_cell != nullptr &&
-            f.block_cell->ready.load(std::memory_order_acquire)) {
-          // Sibling replica already holds the post-block trie; identical
-          // final slot maps make adoption equivalent to re-applying.
-          f.trie = f.block_cell->trie;
-          f.storage_root = f.block_cell->storage_root;
-          f.block_adopted = true;
-          break;
-        }
+      case StorageFold::Kind::kApplySlots:
         // Only the touched slots; untouched subtrees keep their memoized
         // hashes inside the persistent trie.
         for (const U256& slot : f.slots) {
@@ -366,9 +260,7 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
           }
         }
         f.storage_root = f.trie.root_hash();
-        f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
         break;
-      }
       case StorageFold::Kind::kBodyOnly:
         break;
     }
@@ -390,36 +282,21 @@ trie::SecureTrie WorldState::install_folds_locked(
         cc.storage_trie = std::move(f.trie);
         cc.storage_root = f.storage_root;
         cc.fresh = false;
-        if (f.adopted)
-          ++stats_.seeds_adopted;
-        else
-          ++stats_.accounts_resynced;
-        if (f.published) ++stats_.seeds_built;
+        ++stats_.accounts_resynced;
         break;
       case StorageFold::Kind::kApplySlots:
         cc.storage_trie = std::move(f.trie);
         cc.storage_root = f.storage_root;
-        if (f.block_adopted)
-          ++stats_.seeds_adopted;
-        else
-          stats_.slots_resynced += f.slots.size();
+        stats_.slots_resynced += f.slots.size();
         break;
       case StorageFold::Kind::kBodyOnly:
       case StorageFold::Kind::kPrune:
         break;
     }
-    if (f.block_published) ++stats_.seeds_built;
-    if (block_seeds_ != nullptr) {
-      if (f.block_adopted)
-        block_seeds_->seeds_adopted.fetch_add(1, std::memory_order_relaxed);
-      if (f.block_published)
-        block_seeds_->seeds_built.fetch_add(1, std::memory_order_relaxed);
-    }
     account_trie_.put(std::span(f.addr.bytes), std::span(f.encoded));
   }
   dirty_.clear();
   root_valid_ = false;
-  block_seeds_ = nullptr;  // one-shot: consumed by this computation
   return account_trie_;  // persistent snapshot: shares nodes, O(1)
 }
 
@@ -434,11 +311,6 @@ Hash256 WorldState::storage_root(const Address& addr) const {
     if (cit != commit_.end() && !cit->second.fresh && storage_clean)
       return cit->second.storage_root;
   }
-  // A ready seed cell is always in sync with the current slot map (writes
-  // swap the cell), so it answers even before this state's first commit.
-  if (const auto& seed = it->second.storage_seed;
-      seed != nullptr && seed->ready.load(std::memory_order_acquire))
-    return seed->storage_root;
   return storage_root_of(it->second.storage);
 }
 
@@ -492,11 +364,6 @@ Hash256 WorldState::state_root_full_rebuild() const {
 CommitStats WorldState::commit_stats() const {
   std::scoped_lock lk(commit_mu_);
   return stats_;
-}
-
-void WorldState::adopt_block_seeds(std::shared_ptr<BlockSeedSet> seeds) {
-  std::scoped_lock lk(commit_mu_);
-  block_seeds_ = std::move(seeds);
 }
 
 std::size_t WorldState::persist_commitment(db::NodeStore& store) const {

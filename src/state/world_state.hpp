@@ -15,24 +15,21 @@
 // rebuilding the whole trie.  state_root_full_rebuild() preserves the
 // original from-scratch computation as a differential oracle.
 //
-// Two sharing mechanisms keep copies cheap:
-//  * commit_mu_ is a short-hold structural lock: state_root() folds dirty
-//    entries under it but performs every hash on persistent-trie snapshots
-//    *outside* it, so a finalize-time copy taken while a commit is in
-//    flight never waits for hashing (root_mu_ serializes whole root
-//    computations instead);
-//  * each account carries a shared StorageSeed cell identifying its slot
-//    map's content-version: the first lineage to commit a fresh account
-//    builds the storage trie once and publishes it through the cell, and
-//    every copy still holding the same cell adopts the persistent trie in
-//    O(1) instead of re-seeding it from the whole map.
+// Copies are cheap: a copy shares the persistent tries (O(1) per trie) and
+// carries the root and storage-root memos, so a copy of a committed state
+// answers state_root() from the memo without hashing anything.  Commit a
+// state once *before* copying it (e.g. genesis) and every copy inherits that
+// work.  commit_mu_ is a short-hold structural lock: state_root() folds
+// dirty entries under it but performs every hash on persistent-trie
+// snapshots *outside* it, so a finalize-time copy taken while a commit is in
+// flight never waits for hashing (root_mu_ serializes whole root
+// computations instead).
 //
 // Thread-safety matches the trie layer: concurrent const reads (including
 // state_root() and copying) are safe; writes must not race with any other
 // access to the same object.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,66 +46,6 @@ namespace blockpilot::state {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/// One-shot shared cell publishing a fresh account's storage commitment.
-/// The cell's identity encodes a slot-map content-version: the write path
-/// swaps in a new cell whenever the map changes (unless the old one is
-/// still private and unfilled), so every WorldState holding the *same*
-/// cell is guaranteed to hold the identical slot map.  The first committer
-/// fills it; later committers adopt the persistent trie in O(1).
-struct StorageSeed {
-  std::mutex mu;                  // serializes the one-time fill
-  std::atomic<bool> ready{false};
-  trie::SecureTrie trie;          // immutable once ready
-  Hash256 storage_root;
-};
-
-/// Block-level seed set: one StorageSeed cell per account touched by a
-/// specific block.  Sibling validator replicas re-executing the *same* block
-/// on the *same* parent state produce bit-identical post-block slot maps
-/// (deterministic replay — the invariant consensus itself asserts), so the
-/// first replica to commit publishes every dirty account's storage trie
-/// through its cell and every later replica adopts the whole fold set in
-/// O(1) per account instead of re-hashing it.  Unlike the per-account
-/// lineage cells, these are keyed by content *by contract*: callers must
-/// only share a set between states executing the identical block.
-class BlockSeedSet {
- public:
-  /// The cell for one account, created on first request.
-  std::shared_ptr<StorageSeed> cell_for(const Address& addr);
-
-  std::size_t size() const;
-
-  /// Fold-set sharing counters (fed by WorldState::state_root()).
-  std::atomic<std::uint64_t> seeds_built{0};
-  std::atomic<std::uint64_t> seeds_adopted{0};
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<Address, std::shared_ptr<StorageSeed>> cells_;
-};
-
-/// Registry of BlockSeedSets keyed by block hash, shared by every validator
-/// replica of one simulated network (or one process).  for_block() is the
-/// rendezvous: all replicas validating block B receive the same set.
-class BlockSeedDirectory {
- public:
-  std::shared_ptr<BlockSeedSet> for_block(const Hash256& block_hash);
-
-  struct Stats {
-    std::size_t blocks = 0;           // distinct blocks seen
-    std::uint64_t seeds_built = 0;    // folds built + published
-    std::uint64_t seeds_adopted = 0;  // folds served from a sibling replica
-  };
-  Stats stats() const;
-
-  /// Drops every set (e.g. between simulation runs).
-  void clear();
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<Hash256, std::shared_ptr<BlockSeedSet>> sets_;
-};
-
 /// Mutable per-account record.  An account is part of the state commitment
 /// iff it is non-empty (nonzero nonce, balance, code, or storage) — empty
 /// accounts are pruned from the trie like post-EIP-161 Ethereum.
@@ -120,9 +57,6 @@ struct AccountData {
   /// set_code so executors can key the CodeAnalysis cache without hashing.
   Hash256 code_hash;
   std::unordered_map<U256, U256> storage;
-  /// Shared storage-trie seed (see StorageSeed); copies of this state share
-  /// the cell until one of them writes storage again.
-  std::shared_ptr<StorageSeed> storage_seed;
 
   bool empty_account() const noexcept {
     return balance.is_zero() && nonce == 0 &&
@@ -143,8 +77,6 @@ struct CommitStats {
   std::uint64_t accounts_resynced = 0;  // full storage-trie (re)builds
   std::uint64_t slots_resynced = 0;     // individual dirty-slot updates
   std::uint64_t dirty_accounts = 0;     // dirty accounts folded in, cumulative
-  std::uint64_t seeds_built = 0;        // storage seeds built + published
-  std::uint64_t seeds_adopted = 0;      // fresh accounts served from a seed
 };
 
 class WorldState {
@@ -200,16 +132,6 @@ class WorldState {
   /// copies start from the source's counters).
   CommitStats commit_stats() const;
 
-  /// Arms block-level fold sharing for the *next* state_root() computation:
-  /// every dirty account's storage fold is adopted from `seeds` when a
-  /// sibling replica already published it, and published through `seeds`
-  /// otherwise.  One-shot — the set is dropped once that root completes.
-  /// Caller contract: this state must be the post state of exactly the
-  /// block `seeds` is keyed by (deterministic replay makes the slot maps
-  /// bit-identical across replicas; sharing between different blocks would
-  /// commit wrong roots).
-  void adopt_block_seeds(std::shared_ptr<BlockSeedSet> seeds);
-
   const std::unordered_map<Address, AccountData>& accounts() const noexcept {
     return accounts_;
   }
@@ -225,8 +147,7 @@ class WorldState {
 
  private:
   /// Memoized commitment pieces for one account.  `fresh` marks a memo that
-  /// has never been built (storage trie must be seeded from the whole map,
-  /// or adopted from the account's StorageSeed cell).
+  /// has never been built (storage trie must be built from the whole map).
   struct AccountCommit {
     trie::SecureTrie storage_trie;
     Hash256 storage_root = trie::MerklePatriciaTrie::empty_root();
@@ -268,9 +189,6 @@ class WorldState {
   mutable Hash256 root_memo_;
   mutable bool root_valid_ = false;
   mutable CommitStats stats_;
-  /// One-shot block-level fold sharing (see adopt_block_seeds).  Not carried
-  /// across copies: the copy is no longer the submitted post state.
-  mutable std::shared_ptr<BlockSeedSet> block_seeds_;
 };
 
 /// Computes the storage-trie root of a slot map (shared by WorldState and

@@ -124,6 +124,9 @@ state::WorldState WorkloadGenerator::genesis() const {
   const Bytes nft_code = nft_contract();
   for (std::size_t n = 0; n < kNftCollections; ++n)
     ws.set_code(nft(n), nft_code);
+  // Commit once here: every copy (one per chain, replica and engine) then
+  // answers state_root() from the carried memo instead of re-hashing.
+  (void)ws.state_root();
   return ws;
 }
 

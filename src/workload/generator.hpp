@@ -79,7 +79,8 @@ class WorkloadGenerator {
   explicit WorkloadGenerator(WorkloadConfig config);
 
   /// Funded and deployed genesis state (idempotent; independent of the
-  /// transaction stream position).
+  /// transaction stream position), returned already committed so copies
+  /// answer state_root() from the memo.
   state::WorldState genesis() const;
 
   /// Next block's transaction batch.  Per-sender nonces are tracked across

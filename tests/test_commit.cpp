@@ -332,8 +332,15 @@ TEST(IncrementalRoot, CopiesDivergeIndependently) {
   a.set(StateKey::storage(addr_of(1), U256{0}), U256{5});
   const Hash256 root_a = a.state_root();
 
-  WorldState b = a;  // shares trie structure + memos
+  // A copy of a committed state shares its tries and carries its memos:
+  // the copy's first state_root() is a memo hit, not a recompute.
+  WorldState b = a;
+  const auto copied = b.commit_stats();
   EXPECT_EQ(b.state_root(), root_a);
+  const auto first = b.commit_stats();
+  EXPECT_EQ(first.root_memo_hits, copied.root_memo_hits + 1);
+  EXPECT_EQ(first.root_recomputes, copied.root_recomputes);
+  EXPECT_EQ(first.accounts_resynced, copied.accounts_resynced);
 
   b.set(StateKey::storage(addr_of(1), U256{0}), U256{6});
   b.set(StateKey::balance(addr_of(2)), U256{1});
@@ -378,65 +385,36 @@ TEST(IncrementalRoot, DifferentialFuzzAgainstOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared storage seeds across WorldState copies
+// Forked WorldState copies commit independently
 
-TEST(StorageSeeds, FreshAccountAdoptedAcrossCopies) {
-  // A fresh account's pending storage writes are shared by two forks; the
-  // first fork to commit builds the storage trie once and publishes it
-  // through the seed cell, the second adopts it in O(1) instead of
-  // re-seeding from the whole slot map.
-  WorldState head;
-  for (std::uint64_t s = 0; s < 24; ++s)
-    head.set(StateKey::storage(addr_of(77), U256{s}), U256{s * s + 1});
-  head.set(StateKey::balance(addr_of(77)), U256{5});
-
-  WorldState a = head;  // both forks share the dirty set and the seed cell
-  WorldState b = head;
-  const auto base = head.commit_stats();
-
-  const Hash256 ra = a.state_root();
-  const auto sa = a.commit_stats();
-  EXPECT_EQ(sa.seeds_built, base.seeds_built + 1);   // a built + published
-  EXPECT_EQ(sa.seeds_adopted, base.seeds_adopted);
-
-  const Hash256 rb = b.state_root();
-  const auto sb = b.commit_stats();
-  EXPECT_EQ(sb.seeds_adopted, base.seeds_adopted + 1);  // b adopted a's trie
-  EXPECT_EQ(sb.accounts_resynced, base.accounts_resynced);  // no rebuild
-
-  EXPECT_EQ(ra, rb);
-  EXPECT_EQ(ra, a.state_root_full_rebuild());
-  EXPECT_EQ(head.state_root(), ra);  // the source itself adopts too
-}
-
-TEST(StorageSeeds, PostCopyWriteDetachesFromSeed) {
-  // A storage write after the fork must detach the writer from the shared
-  // cell — otherwise it would adopt a trie for a slot map it no longer has.
+TEST(ForkedCopies, PostCopyWriteStaysPrivate) {
+  // Two copies of one uncommitted head: a storage write on one after the
+  // fork must not leak into the other's commitment through shared tries.
   WorldState head;
   head.set(StateKey::storage(addr_of(88), U256{0}), U256{111});
   head.set(StateKey::storage(addr_of(88), U256{1}), U256{222});
 
   WorldState a = head;
   WorldState b = head;
-  b.set(StateKey::storage(addr_of(88), U256{1}), U256{999});  // detaches b
+  b.set(StateKey::storage(addr_of(88), U256{1}), U256{999});
 
-  const Hash256 ra = a.state_root();  // publishes the {111,222} seed
-  const Hash256 rb = b.state_root();  // must NOT adopt it
+  const Hash256 ra = a.state_root();
+  const Hash256 rb = b.state_root();
   EXPECT_NE(ra, rb);
   EXPECT_EQ(ra, a.state_root_full_rebuild());
   EXPECT_EQ(rb, b.state_root_full_rebuild());
-  EXPECT_EQ(b.commit_stats().seeds_adopted, 0u);
+  EXPECT_EQ(head.state_root(), ra);  // the source never saw b's write
 }
 
-TEST(StorageSeeds, DifferentialFuzzSharedTriesAcrossCopies) {
+TEST(ForkedCopies, DifferentialFuzzAgainstOracle) {
   // The headline differential fuzz: >= 1000 randomized blocks, each block
-  // forking the head into two siblings that commit independently (storage
-  // tries and seed cells shared wherever contents allow), every root
-  // checked against the from-scratch oracle.
+  // forking the head into two siblings that commit independently (the
+  // persistent tries shared wherever contents allow), every root checked
+  // against the from-scratch oracle.
   constexpr int kBlocks = 1024;
   Xoshiro256 rng(0x5EED5);
-  std::uint64_t adopted = 0;
-  std::uint64_t built = 0;
+  std::uint64_t builds = 0;
+  std::uint64_t slot_updates = 0;
 
   const auto random_writes = [&rng](WorldState& ws, std::uint64_t addr_space,
                                     int count) {
@@ -468,16 +446,16 @@ TEST(StorageSeeds, DifferentialFuzzSharedTriesAcrossCopies) {
 
   for (int block = 0; block < kBlocks; ++block) {
     // A slowly growing address space keeps fresh accounts (and therefore
-    // seed builds/adoptions) appearing throughout the run.
+    // whole storage-trie builds) appearing throughout the run.
     const std::uint64_t addr_space = 16 + block / 64;
 
-    // Pending writes on the head are shared by both forks via seed cells.
+    // Pending writes on the head are carried into both forks' dirty sets.
     random_writes(head, addr_space, 1 + static_cast<int>(rng() % 6));
     const auto base = head.commit_stats();
     WorldState a = head;
     WorldState b = head;
 
-    // Divergent tails detach the touched accounts from the shared cells.
+    // Divergent tails on top of the shared pending writes.
     if (rng() % 2) random_writes(a, addr_space, 1 + static_cast<int>(rng() % 4));
     if (rng() % 2) random_writes(b, addr_space, 1 + static_cast<int>(rng() % 4));
 
@@ -485,20 +463,19 @@ TEST(StorageSeeds, DifferentialFuzzSharedTriesAcrossCopies) {
     const Hash256 rb = b.state_root();
     ASSERT_EQ(ra, a.state_root_full_rebuild()) << "block " << block;
     ASSERT_EQ(rb, b.state_root_full_rebuild()) << "block " << block;
-    const auto sa = a.commit_stats();
-    const auto sb = b.commit_stats();
-    built += (sa.seeds_built - base.seeds_built) +
-             (sb.seeds_built - base.seeds_built);
-    adopted += (sa.seeds_adopted - base.seeds_adopted) +
-               (sb.seeds_adopted - base.seeds_adopted);
+    for (const WorldState* fork : {&a, &b}) {
+      const auto st = fork->commit_stats();
+      builds += st.accounts_resynced - base.accounts_resynced;
+      slot_updates += st.slots_resynced - base.slots_resynced;
+    }
 
     head = (rng() % 2) ? std::move(a) : std::move(b);
   }
   // Full oracle check on the surviving lineage.
   ASSERT_EQ(head.state_root(), head.state_root_full_rebuild());
-  // The sharing machinery actually engaged during the run.
-  EXPECT_GT(built, 0u);
-  EXPECT_GT(adopted, 0u);
+  // Both fold kinds engaged: fresh-account builds and per-slot updates.
+  EXPECT_GT(builds, 0u);
+  EXPECT_GT(slot_updates, 0u);
 }
 
 // ---------------------------------------------------------------------------

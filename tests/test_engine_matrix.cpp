@@ -125,10 +125,9 @@ TEST(EngineMatrix, ProposerByValidatorAcrossRegimesSeedsAndThreads) {
       cfg.seed = 0xE17 + s * 6151;
       cfg.txs_per_block = 48;
       workload::WorkloadGenerator gen(cfg);
-      const state::WorldState genesis = gen.genesis();
-      // Hash genesis once: every validation's post-state copy then rehashes
+      // Committed by genesis(): every validation's post-state copy rehashes
       // only its dirty paths instead of the whole genesis trie.
-      (void)genesis.state_root();
+      const state::WorldState genesis = gen.genesis();
       const auto txs = gen.next_block();
       for (const ScheduleMode pmode : proposers) {
         const ProposedBlock blk = propose_with(pmode, genesis, txs);

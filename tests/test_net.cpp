@@ -335,37 +335,6 @@ TEST(ConsensusSim, ForkChoiceAdoptsHonestSurvivor) {
   EXPECT_GT(fork_choices_seen, 0u);
 }
 
-TEST(ConsensusSim, BlockSeedSharingAcrossSiblingValidators) {
-  // With block-hash-keyed seed sharing on, the first validator to commit a
-  // block builds each dirty account's storage fold and later siblings of
-  // the SAME block adopt it.  A single commit thread serializes the
-  // validators' commitments, so adoption is guaranteed; roots must be
-  // unchanged vs a run with sharing disabled.
-  ConsensusSimConfig cfg;
-  cfg.proposer_nodes = 2;
-  cfg.validator_nodes = 3;
-  cfg.proposers_per_round = 2;
-  cfg.rounds = 3;
-  cfg.workload.txs_per_block = 25;
-  cfg.proposer_threads = 4;
-  cfg.validator_workers = 8;
-  cfg.commit_threads = 1;
-
-  const auto shared = ConsensusSim(cfg).run();
-  ASSERT_TRUE(shared.safety_held) << shared.violation;
-  EXPECT_GT(shared.seeds_built, 0u);
-  EXPECT_GT(shared.seeds_adopted, 0u);
-
-  cfg.share_block_seeds = false;
-  const auto solo = ConsensusSim(cfg).run();
-  ASSERT_TRUE(solo.safety_held) << solo.violation;
-  EXPECT_EQ(solo.seeds_built, 0u);
-  EXPECT_EQ(solo.seeds_adopted, 0u);
-  ASSERT_EQ(shared.rounds.size(), solo.rounds.size());
-  for (std::size_t i = 0; i < shared.rounds.size(); ++i)
-    EXPECT_EQ(shared.rounds[i].canonical_root, solo.rounds[i].canonical_root);
-}
-
 TEST(ConsensusSim, BoundedSpeculationParksProposals) {
   // Depth 0 must stall every proposal behind the previous settlement;
   // a wide window hides the whole commitment tail.  Same workload, so the

@@ -367,92 +367,6 @@ TEST(ExecBuffer, ResetClearsEverything) {
   EXPECT_TRUE(buf.write_set().empty());
 }
 
-TEST(BlockSeeds, DirectoryKeysSetsByBlockHash) {
-  BlockSeedDirectory dir;
-  Hash256 h1{}, h2{};
-  h1.bytes[0] = 0x11;
-  h2.bytes[0] = 0x22;
-
-  auto s1 = dir.for_block(h1);
-  auto s2 = dir.for_block(h2);
-  EXPECT_NE(s1.get(), s2.get());
-  // Rendezvous: every replica validating the same block gets the same set.
-  EXPECT_EQ(dir.for_block(h1).get(), s1.get());
-  EXPECT_EQ(dir.stats().blocks, 2u);
-
-  // Cells are per-account and created once.
-  auto cell = s1->cell_for(kAlice);
-  EXPECT_EQ(s1->cell_for(kAlice).get(), cell.get());
-  EXPECT_NE(s1->cell_for(kBob).get(), cell.get());
-  EXPECT_EQ(s1->size(), 2u);
-  // The same account in a different block's set is a different cell.
-  EXPECT_NE(s2->cell_for(kAlice).get(), cell.get());
-
-  dir.clear();
-  EXPECT_EQ(dir.stats().blocks, 0u);
-}
-
-// Replica post states of one block: identical content, built independently.
-WorldState replica_post_state() {
-  WorldState ws;
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    const Address addr = Address::from_id(0xB10C00 + id);
-    for (std::uint64_t slot = 0; slot < 8; ++slot)
-      ws.set(StateKey::storage(addr, U256{slot}), U256{id * 100 + slot});
-  }
-  return ws;
-}
-
-TEST(BlockSeeds, SiblingReplicasShareStorageFolds) {
-  // Deterministic replay makes sibling replicas' post-block slot maps
-  // bit-identical, so the first replica to commit publishes each dirty
-  // account's storage trie and later replicas adopt it in O(1).
-  const Hash256 expected = replica_post_state().state_root();
-
-  auto seeds = std::make_shared<BlockSeedSet>();
-  WorldState first = replica_post_state();
-  first.adopt_block_seeds(seeds);
-  EXPECT_EQ(first.state_root(), expected);  // sharing never changes the root
-  EXPECT_GT(seeds->seeds_built.load(), 0u);
-  EXPECT_EQ(seeds->seeds_adopted.load(), 0u);
-
-  const std::uint64_t built = seeds->seeds_built.load();
-  WorldState second = replica_post_state();
-  second.adopt_block_seeds(seeds);
-  EXPECT_EQ(second.state_root(), expected);
-  EXPECT_EQ(seeds->seeds_built.load(), built);  // nothing re-published
-  EXPECT_EQ(seeds->seeds_adopted.load(), built);  // every fold adopted
-}
-
-TEST(BlockSeeds, AdoptionIsOneShotPerCommitment) {
-  // The set is consumed by the state_root() it was adopted for: later
-  // commitments of the same state (or its copies) are a *different* post
-  // state and must not rendezvous through stale cells.
-  auto seeds = std::make_shared<BlockSeedSet>();
-  WorldState ws = replica_post_state();
-  ws.adopt_block_seeds(seeds);
-  (void)ws.state_root();
-  const std::uint64_t built = seeds->seeds_built.load();
-  ASSERT_GT(built, 0u);
-
-  // New writes on the committed state: folds rebuild without the set.
-  ws.set(StateKey::storage(Address::from_id(0xB10C01), U256{0}), U256{777});
-  (void)ws.state_root();
-  EXPECT_EQ(seeds->seeds_built.load(), built);
-  EXPECT_EQ(seeds->seeds_adopted.load(), 0u);
-
-  // Copies do not inherit a pending adoption: the copy is no longer the
-  // submitted post state, so its commitment must not touch the set.
-  auto seeds2 = std::make_shared<BlockSeedSet>();
-  WorldState fresh = replica_post_state();
-  fresh.adopt_block_seeds(seeds2);
-  WorldState copy = fresh;
-  copy.set(StateKey::balance(kAlice), U256{1});
-  (void)copy.state_root();
-  EXPECT_EQ(seeds2->seeds_built.load(), 0u);
-  EXPECT_EQ(seeds2->seeds_adopted.load(), 0u);
-}
-
 TEST(SnapshotView, ReadsAtFixedVersion) {
   WorldState base;
   base.set(StateKey::balance(kAlice), U256{100});

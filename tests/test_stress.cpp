@@ -2,7 +2,7 @@
 // primitives.  Registered under the `stress` ctest label (and `commit`, so
 // the tsan-commit preset picks them up): the interesting assertions here
 // are the ones ThreadSanitizer makes — copies taken while commits are in
-// flight, concurrent rooters sharing persistent tries and seed cells, and
+// flight, concurrent rooters and forks sharing persistent tries, and
 // producer/consumer hammering of ThreadPool / MpmcQueue.
 #include <gtest/gtest.h>
 
@@ -103,10 +103,10 @@ TEST(StressWorldState, ConcurrentRootersAgreeOnOneObject) {
   }
 }
 
-TEST(StressWorldState, ForksCommittingConcurrentlyShareSeeds) {
+TEST(StressWorldState, ForksCommittingConcurrentlyShareTries) {
   // Fresh accounts with pending storage writes are forked, and both forks
-  // commit at the same time: the seed cells' fill-once / adopt-many path
-  // runs under real contention.  Roots must match the oracle either way.
+  // commit at the same time over the persistent tries they share with the
+  // head.  Roots must match the oracle either way.
   Xoshiro256 rng(0x5EED);
   WorldState head;
   random_writes(rng, head, 64);

@@ -28,6 +28,22 @@ TEST(Generator, DeterministicFromSeed) {
   EXPECT_EQ(a.genesis().state_root(), b.genesis().state_root());
 }
 
+TEST(Generator, GenesisIsCommittedWhenHandedOut) {
+  // genesis() commits once, so the handed-out state and every copy of it
+  // answer state_root() from the carried memo without re-hashing.
+  const WorkloadGenerator gen(preset_mainnet());
+  const state::WorldState genesis = gen.genesis();
+  const state::WorldState copy = genesis;
+  for (const state::WorldState* ws : {&genesis, &copy}) {
+    const auto before = ws->commit_stats();
+    EXPECT_EQ(ws->state_root(), ws->state_root_full_rebuild());
+    const auto after = ws->commit_stats();
+    EXPECT_EQ(after.root_memo_hits, before.root_memo_hits + 1);
+    EXPECT_EQ(after.root_recomputes, before.root_recomputes);
+    EXPECT_EQ(after.accounts_resynced, before.accounts_resynced);
+  }
+}
+
 TEST(Generator, DifferentSeedsDiffer) {
   WorkloadConfig a_cfg = preset_mainnet(), b_cfg = preset_mainnet();
   a_cfg.seed = 1;
