@@ -21,7 +21,11 @@
 //     every copy stalled for the full commit; with the snapshot-based
 //     phase split a copy only contends for the short collect/install
 //     critical sections.  The worst copy latency vs the commit wall is
-//     the evidence.
+//     the evidence.  Next to the idle copy time it reports the heap bytes
+//     one copy keeps alive (glibc mallinfo2 delta), for that uncommitted
+//     source and for the committed genesis every chain and replica copies:
+//     storage shards are shared copy-on-write, so a copy pays for the
+//     account map and commitment memo, not for every slot.
 //
 // Emits BENCH_commit.json (machine-readable) plus a stdout summary.
 //  4. Paged-store rider — the same overlapped chain with a PagedNodeStore
@@ -35,6 +39,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
+
+#include <malloc.h>
 
 #include "bench_common.hpp"
 #include "commit/commit_pipeline.hpp"
@@ -158,15 +164,45 @@ state::WorldState uncommitted_copy(const state::WorldState& src) {
     ws.set(state::StateKey::balance(addr), acct.balance);
     ws.set(state::StateKey::nonce(addr), U256{acct.nonce});
     if (acct.code != nullptr) ws.set_code(addr, *acct.code);
-    for (const auto& [slot, value] : acct.storage)
+    acct.storage.for_each([&ws, &addr](const U256& slot, const U256& value) {
       ws.set(state::StateKey::storage(addr, slot), value);
+    });
   }
   return ws;
+}
+
+// Best-of-3 wall of one copy of `src`, and the heap bytes that copy holds
+// (in-use arena bytes plus mmapped chunks, before vs. while it lives).
+struct CopyCost {
+  double ms = 0.0;
+  std::size_t bytes = 0;
+};
+
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = ::mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+CopyCost measure_copy(const state::WorldState& src) {
+  CopyCost out;
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::size_t before = heap_in_use();
+    Stopwatch sw;
+    const state::WorldState copy(src);
+    const double ms = sw.elapsed_ms();
+    const std::size_t held = heap_in_use() - before;
+    if (rep == 0 || ms < out.ms) out.ms = ms;
+    if (rep == 0 || held < out.bytes) out.bytes = held;
+  }
+  return out;
 }
 
 struct CopyUnderCommit {
   double commit_ms = 0.0;         // wall of the in-flight state_root()
   double copy_idle_ms = 0.0;      // best-of-3 copy with no commit running
+  std::size_t copy_idle_bytes = 0;   // heap held by that copy
+  double genesis_copy_ms = 0.0;      // best-of-3 copy of committed genesis
+  std::size_t genesis_copy_bytes = 0;
   double copy_worst_ms = 0.0;     // worst copy taken while commit in flight
   double copy_mean_ms = 0.0;
   std::size_t copies = 0;         // copies completed before the commit did
@@ -178,10 +214,16 @@ CopyUnderCommit run_copy_under_commit() {
   wc.seed = 0xF19;
   workload::WorkloadGenerator gen(wc);
 
+  CopyUnderCommit out;
+  const state::WorldState genesis = gen.genesis();  // committed
+  const CopyCost genesis_copy = measure_copy(genesis);
+  out.genesis_copy_ms = genesis_copy.ms;
+  out.genesis_copy_bytes = genesis_copy.bytes;
+
   // Heavyweight commit: genesis is never rooted, and every block's writes
   // pile onto the dirty set, so the pool thread's state_root() builds the
   // entire trie in one go.
-  state::WorldState running = uncommitted_copy(gen.genesis());
+  state::WorldState running = uncommitted_copy(genesis);
   {
     std::shared_ptr<state::WorldState> keep;
     const state::WorldState* parent = &running;
@@ -194,13 +236,9 @@ CopyUnderCommit run_copy_under_commit() {
     }
   }
 
-  CopyUnderCommit out;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch sw;
-    const state::WorldState idle_copy(running);
-    const double ms = sw.elapsed_ms();
-    if (rep == 0 || ms < out.copy_idle_ms) out.copy_idle_ms = ms;
-  }
+  const CopyCost idle_copy = measure_copy(running);
+  out.copy_idle_ms = idle_copy.ms;
+  out.copy_idle_bytes = idle_copy.bytes;
 
   ThreadPool pool(1);
   std::atomic<bool> started{false};
@@ -380,6 +418,11 @@ void run() {
               "%.2f ms pre-snapshot)\n",
               cuc.copy_idle_ms, cuc.copy_mean_ms, cuc.copy_worst_ms,
               cuc.commit_ms);
+  std::printf("  bytes per copy: %.3f MiB for that uncommitted source, "
+              "%.3f MiB (%.3f ms) for the committed genesis\n",
+              static_cast<double>(cuc.copy_idle_bytes) / (1 << 20),
+              static_cast<double>(cuc.genesis_copy_bytes) / (1 << 20),
+              cuc.genesis_copy_ms);
   std::printf("  mid-commit snapshot root agrees with committed source: %s\n",
               cuc.roots_agree ? "yes" : (cuc.copies ? "NO" : "n/a"));
 
@@ -445,6 +488,10 @@ void run() {
   std::fprintf(f, "    \"commit_ms\": %.4f,\n", cuc.commit_ms);
   std::fprintf(f, "    \"copies_during_commit\": %zu,\n", cuc.copies);
   std::fprintf(f, "    \"copy_idle_ms\": %.4f,\n", cuc.copy_idle_ms);
+  std::fprintf(f, "    \"copy_idle_bytes\": %zu,\n", cuc.copy_idle_bytes);
+  std::fprintf(f, "    \"genesis_copy_ms\": %.4f,\n", cuc.genesis_copy_ms);
+  std::fprintf(f, "    \"genesis_copy_bytes\": %zu,\n",
+               cuc.genesis_copy_bytes);
   std::fprintf(f, "    \"copy_mean_ms\": %.4f,\n", cuc.copy_mean_ms);
   std::fprintf(f, "    \"copy_worst_ms\": %.4f,\n", cuc.copy_worst_ms);
   std::fprintf(f, "    \"roots_agree\": %s\n  }\n}\n",

@@ -20,8 +20,11 @@
 # The db-labeled crash/recovery suites additionally run under combined
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a
 # tmpdir hygiene check: tests and benches must remove their page files.
+# The commit-labeled suites (incremental roots, forked copies sharing
+# copy-on-write storage shards, the commit stress layer) run under the same
+# ASan+UBSan build (the asan-commit preset): shard sharing is lifetime code.
 #
-#   ./ci.sh            # tier-1 + perf-smoke + tsan commit/stress + tsan/asan net + asan-db
+#   ./ci.sh            # tier-1 + perf-smoke + tsan commit/stress + tsan/asan net + asan-db + asan-commit
 #   ./ci.sh --tier1    # tier-1 only (fast path)
 #   JOBS=8 ./ci.sh     # override parallelism
 set -euo pipefail
@@ -140,5 +143,8 @@ cmake --build --preset asan-db -j "${JOBS}"
 echo "==> asan-db: db-labeled tests (page codecs, torn-write recovery, differential fuzz)"
 ctest --preset asan-db
 hygiene_check "asan-db tests"
+
+echo "==> asan-db: commit-labeled tests (forked copies sharing storage shards, commit stress)"
+ctest --preset asan-commit
 
 echo "==> ci: all gates passed"

@@ -120,8 +120,9 @@ class CommitPipeline {
   CommitHandle submit(std::shared_ptr<const state::WorldState> post,
                       AuxRootFn aux = {}, SettleFn on_settled = {});
 
-  /// Convenience: copies `parent` (O(1) shared-structure copy), applies
-  /// `writes`, and queues the commitment of the result.
+  /// Convenience: copies `parent` (O(accounts): tries and storage shards
+  /// are shared, see world_state.hpp), applies `writes`, and queues the
+  /// commitment of the result.
   CommitHandle submit_writes(
       const state::WorldState& parent,
       std::vector<std::pair<state::StateKey, U256>> writes, AuxRootFn aux = {});

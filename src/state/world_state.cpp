@@ -19,16 +19,21 @@ std::string StateKey::to_string() const {
   return "?";
 }
 
-// Copying shares the persistent tries (O(1) per trie) and carries the memos
+// Copying shares the persistent tries (O(1) per trie) and every storage
+// shard (copy-on-write; O(1) per contract account), and carries the memos
 // over, so a copied state answers state_root() without re-hashing anything
-// the source had already committed.  accounts_ is copied outside the commit
-// mutex — it is never mutated concurrently (writes don't race by contract)
-// — and the lock-guarded commitment structures are pure memory copies, so a
-// copy taken while a commit is in flight waits only for that commit's short
-// structural fold, never for its hashing.
+// the source had already committed.  What is still copied entry by entry
+// is the account map and the commitment memo: O(accounts), not O(slots).
+// accounts_ is copied outside the commit mutex — it is never mutated
+// concurrently (writes don't race by contract) — and the lock-guarded
+// commitment structures are pure memory copies, so a copy taken while a
+// commit is in flight waits only for that commit's short structural fold,
+// never for its hashing.  Both sides leave with fresh epochs, so neither
+// writes in place to a shard the other now shares.
 WorldState::WorldState(const WorldState& other) {
   accounts_ = other.accounts_;
   std::scoped_lock lk(other.commit_mu_);
+  other.epoch_ = SlotMap::fresh_epoch();
   account_trie_ = other.account_trie_;
   commit_ = other.commit_;
   dirty_ = other.dirty_;
@@ -41,6 +46,8 @@ WorldState& WorldState::operator=(const WorldState& other) {
   if (this == &other) return *this;
   accounts_ = other.accounts_;
   std::scoped_lock lk(commit_mu_, other.commit_mu_);
+  epoch_ = SlotMap::fresh_epoch();
+  other.epoch_ = SlotMap::fresh_epoch();
   account_trie_ = other.account_trie_;
   commit_ = other.commit_;
   dirty_ = other.dirty_;
@@ -51,29 +58,42 @@ WorldState& WorldState::operator=(const WorldState& other) {
 }
 
 // Moving is a mutation of the source, which by contract cannot race with
-// any other access — no locking needed.
+// any other access — no locking needed.  The target takes the source's
+// shards and its epoch; the source is left an empty state with a fresh
+// epoch, ready for reuse.
 WorldState::WorldState(WorldState&& other) noexcept
     : accounts_(std::move(other.accounts_)),
+      epoch_(other.epoch_),
       account_trie_(std::move(other.account_trie_)),
       commit_(std::move(other.commit_)),
       dirty_(std::move(other.dirty_)),
       root_memo_(other.root_memo_),
       root_valid_(other.root_valid_),
       stats_(other.stats_) {
-  other.root_valid_ = false;
+  other.reset_moved_from();
 }
 
 WorldState& WorldState::operator=(WorldState&& other) noexcept {
   if (this == &other) return *this;
   accounts_ = std::move(other.accounts_);
+  epoch_ = other.epoch_;
   account_trie_ = std::move(other.account_trie_);
   commit_ = std::move(other.commit_);
   dirty_ = std::move(other.dirty_);
   root_memo_ = other.root_memo_;
   root_valid_ = other.root_valid_;
   stats_ = other.stats_;
-  other.root_valid_ = false;
+  other.reset_moved_from();
   return *this;
+}
+
+void WorldState::reset_moved_from() noexcept {
+  accounts_.clear();
+  epoch_ = SlotMap::fresh_epoch();
+  account_trie_ = trie::SecureTrie{};
+  commit_.clear();
+  dirty_.clear();
+  root_valid_ = false;
 }
 
 U256 WorldState::get(const StateKey& key) const {
@@ -85,10 +105,8 @@ U256 WorldState::get(const StateKey& key) const {
       return acct.balance;
     case Field::kNonce:
       return U256{acct.nonce};
-    case Field::kStorage: {
-      const auto sit = acct.storage.find(key.slot);
-      return sit == acct.storage.end() ? U256{} : sit->second;
-    }
+    case Field::kStorage:
+      return acct.storage.get(key.slot);
   }
   return U256{};
 }
@@ -106,10 +124,7 @@ void WorldState::set(const StateKey& key, const U256& value) {
       mark_dirty_account(key.addr);
       break;
     case Field::kStorage:
-      if (value.is_zero())
-        acct.storage.erase(key.slot);
-      else
-        acct.storage[key.slot] = value;
+      acct.storage.set(key.slot, value, epoch_);
       mark_dirty_slot(key.addr, key.slot);
       break;
   }
@@ -135,25 +150,39 @@ Hash256 WorldState::code_hash(const Address& addr) const {
   return it->second.code_hash;
 }
 
-Hash256 storage_root_of(const std::unordered_map<U256, U256>& storage) {
+namespace {
+
+void put_slot(trie::SecureTrie& trie, const U256& slot, const U256& value) {
+  const auto key = slot.to_be_bytes();
+  const auto encoded = rlp::encode(value);
+  trie.put(std::span(key), std::span(encoded));
+}
+
+const Hash256& empty_code_hash() {
+  static const Hash256 kEmpty{
+      crypto::keccak256(std::span<const std::uint8_t>{})};
+  return kEmpty;
+}
+
+// codeHash for the incremental path: the memo set_code keeps, keccak("")
+// for code-less accounts (and empty code, whose memo is zero).
+const Hash256& memoized_code_hash(const AccountData& acct) {
+  return acct.code_hash.is_zero() ? empty_code_hash() : acct.code_hash;
+}
+
+}  // namespace
+
+Hash256 storage_root_of(const SlotMap& storage) {
   trie::SecureTrie st;
-  for (const auto& [slot, value] : storage) {
-    if (value.is_zero()) continue;
-    const auto key = slot.to_be_bytes();
-    const auto encoded = rlp::encode(value);
-    st.put(std::span(key), std::span(encoded));
-  }
+  storage.for_each([&st](const U256& slot, const U256& value) {
+    BP_ASSERT_MSG(!value.is_zero(), "slot map stored a zero value");
+    put_slot(st, slot, value);
+  });
   return st.root_hash();
 }
 
-Bytes encode_account(const AccountData& acct, const Hash256& storage_root) {
-  // codeHash = keccak(code), keccak("") for code-less accounts.
-  Hash256 code_hash;
-  if (acct.code != nullptr) {
-    code_hash = Hash256{crypto::keccak256(std::span(*acct.code))};
-  } else {
-    code_hash = Hash256{crypto::keccak256(std::span<const std::uint8_t>{})};
-  }
+Bytes encode_account(const AccountData& acct, const Hash256& storage_root,
+                     const Hash256& code_hash) {
   rlp::Encoder enc;
   enc.begin_list()
       .add(U256{acct.nonce})
@@ -238,25 +267,21 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
       case StorageFold::Kind::kPrune:
         continue;
       case StorageFold::Kind::kBuild:
-        for (const auto& [slot, value] : f.acct->storage) {
-          if (value.is_zero()) continue;
-          const auto key = slot.to_be_bytes();
-          const auto encoded = rlp::encode(value);
-          f.trie.put(std::span(key), std::span(encoded));
-        }
+        f.acct->storage.for_each([&f](const U256& slot, const U256& value) {
+          put_slot(f.trie, slot, value);
+        });
         f.storage_root = f.trie.root_hash();
         break;
       case StorageFold::Kind::kApplySlots:
         // Only the touched slots; untouched subtrees keep their memoized
         // hashes inside the persistent trie.
         for (const U256& slot : f.slots) {
-          const auto key = slot.to_be_bytes();
-          const auto sit = f.acct->storage.find(slot);
-          if (sit == f.acct->storage.end() || sit->second.is_zero()) {
+          const U256 value = f.acct->storage.get(slot);
+          if (value.is_zero()) {
+            const auto key = slot.to_be_bytes();
             f.trie.erase(std::span(key));
           } else {
-            const auto encoded = rlp::encode(sit->second);
-            f.trie.put(std::span(key), std::span(encoded));
+            put_slot(f.trie, slot, value);
           }
         }
         f.storage_root = f.trie.root_hash();
@@ -264,7 +289,8 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
       case StorageFold::Kind::kBodyOnly:
         break;
     }
-    f.encoded = encode_account(*f.acct, f.storage_root);
+    f.encoded =
+        encode_account(*f.acct, f.storage_root, memoized_code_hash(*f.acct));
   }
 }
 
@@ -355,7 +381,13 @@ Hash256 WorldState::state_root_full_rebuild() const {
   trie::SecureTrie accounts_trie;
   for (const auto& [addr, acct] : accounts_) {
     if (acct.empty_account()) continue;
-    const Bytes encoded = encode_account(acct, storage_root_of(acct.storage));
+    // Hashes the code itself rather than trusting the code_hash memo, so a
+    // stale memo on the incremental path shows up as a root mismatch.
+    const Hash256 code_hash =
+        acct.code != nullptr ? Hash256{crypto::keccak256(std::span(*acct.code))}
+                             : empty_code_hash();
+    const Bytes encoded =
+        encode_account(acct, storage_root_of(acct.storage), code_hash);
     accounts_trie.put(std::span(addr.bytes), std::span(encoded));
   }
   return accounts_trie.root_hash();

@@ -15,15 +15,18 @@
 // rebuilding the whole trie.  state_root_full_rebuild() preserves the
 // original from-scratch computation as a differential oracle.
 //
-// Copies are cheap: a copy shares the persistent tries (O(1) per trie) and
-// carries the root and storage-root memos, so a copy of a committed state
-// answers state_root() from the memo without hashing anything.  Commit a
-// state once *before* copying it (e.g. genesis) and every copy inherits that
-// work.  commit_mu_ is a short-hold structural lock: state_root() folds
-// dirty entries under it but performs every hash on persistent-trie
-// snapshots *outside* it, so a finalize-time copy taken while a commit is in
-// flight never waits for hashing (root_mu_ serializes whole root
-// computations instead).
+// Copies are cheap: a copy shares the persistent tries (O(1) per trie),
+// shares every contract's storage shards copy-on-write (see slot_map.hpp;
+// a write later clones only the shard it touches), and carries the root and
+// storage-root memos, so a copy of a committed state answers state_root()
+// from the memo without hashing anything.  What a copy still duplicates is
+// O(accounts): the account map and the commitment memo, not O(slots).
+// Commit a state once *before* copying it (e.g. genesis) and every copy
+// inherits that work.  commit_mu_ is a short-hold structural lock:
+// state_root() folds dirty entries under it but performs every hash on
+// persistent-trie snapshots *outside* it, so a finalize-time copy taken
+// while a commit is in flight never waits for hashing (root_mu_ serializes
+// whole root computations instead).
 //
 // Thread-safety matches the trie layer: concurrent const reads (including
 // state_root() and copying) are safe; writes must not race with any other
@@ -37,6 +40,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "state/slot_map.hpp"
 #include "state/state_key.hpp"
 #include "trie/mpt.hpp"
 #include "types/address.hpp"
@@ -54,19 +58,14 @@ struct AccountData {
   std::uint64_t nonce = 0;
   std::shared_ptr<const Bytes> code;  // nullptr for externally-owned accounts
   /// keccak(code), zero for code-less/empty accounts; computed once by
-  /// set_code so executors can key the CodeAnalysis cache without hashing.
+  /// set_code so executors can key the CodeAnalysis cache and the
+  /// incremental commitment can encode the account without hashing.
   Hash256 code_hash;
-  std::unordered_map<U256, U256> storage;
+  SlotMap storage;  // never holds a zero value
 
   bool empty_account() const noexcept {
     return balance.is_zero() && nonce == 0 &&
-           (code == nullptr || code->empty()) && storage_all_zero();
-  }
-
-  bool storage_all_zero() const noexcept {
-    for (const auto& [slot, val] : storage)
-      if (!val.is_zero()) return false;
-    return true;
+           (code == nullptr || code->empty()) && storage.empty();
   }
 };
 
@@ -160,6 +159,9 @@ class WorldState {
 
   AccountData& account(const Address& addr) { return accounts_[addr]; }
 
+  /// Leaves a moved-from state empty, with a fresh epoch.
+  void reset_moved_from() noexcept;
+
   /// Records a write for the incremental commitment.  An entry with an empty
   /// slot set means the account body (balance/nonce/code) changed but its
   /// storage did not.
@@ -174,6 +176,13 @@ class WorldState {
   trie::SecureTrie install_folds_locked(std::vector<StorageFold>& folds) const;
 
   std::unordered_map<Address, AccountData> accounts_;
+
+  // Copy-on-write ownership token for this state's storage shards (see
+  // slot_map.hpp).  Redrawn on both sides of every copy and on the source
+  // of every move.  Mutable because copying a const source redraws the
+  // source's token too; copies do that under commit_mu_, and writes (the
+  // only readers) never race with copies by contract.
+  mutable std::uint64_t epoch_ = SlotMap::fresh_epoch();
 
   // Incremental commitment state.  Mutable so const root queries may run
   // concurrently (e.g. on the commit pool) while still updating the memos.
@@ -191,11 +200,12 @@ class WorldState {
   mutable CommitStats stats_;
 };
 
-/// Computes the storage-trie root of a slot map (shared by WorldState and
-/// the versioned flattening path).
-Hash256 storage_root_of(const std::unordered_map<U256, U256>& storage);
+/// Computes the storage-trie root of a slot map from scratch (the oracle's
+/// storage path).  Asserts the map holds no zero value.
+Hash256 storage_root_of(const SlotMap& storage);
 
 /// RLP account encoding [nonce, balance, storageRoot, codeHash].
-Bytes encode_account(const AccountData& acct, const Hash256& storage_root);
+Bytes encode_account(const AccountData& acct, const Hash256& storage_root,
+                     const Hash256& code_hash);
 
 }  // namespace blockpilot::state

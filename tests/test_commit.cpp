@@ -4,7 +4,10 @@
 // validator / pipeline / blockchain.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "commit/commit_pipeline.hpp"
 #include "core/blockpilot.hpp"
@@ -324,6 +327,16 @@ TEST(IncrementalRoot, ZeroStorageWriteErases) {
   EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild());
   EXPECT_EQ(ws.storage_root(addr_of(5)),
             state::storage_root_of(ws.accounts().at(addr_of(5)).storage));
+  // The slot map never stores a zero: the erased slot is gone, and an
+  // account whose storage is all zero is empty and pruned.
+  EXPECT_EQ(ws.accounts().at(addr_of(5)).storage.size(), 1u);
+  ws.set(StateKey::storage(addr_of(5), U256{1}), U256{});
+  ws.set(StateKey::storage(addr_of(5), U256{3}), U256{});  // absent slot
+  ws.set(StateKey::balance(addr_of(5)), U256{});
+  EXPECT_TRUE(ws.accounts().at(addr_of(5)).storage.empty());
+  EXPECT_TRUE(ws.accounts().at(addr_of(5)).empty_account());
+  EXPECT_EQ(ws.state_root(), WorldState{}.state_root());
+  EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild());
 }
 
 TEST(IncrementalRoot, CopiesDivergeIndependently) {
@@ -406,43 +419,107 @@ TEST(ForkedCopies, PostCopyWriteStaysPrivate) {
   EXPECT_EQ(head.state_root(), ra);  // the source never saw b's write
 }
 
+// A WorldState plus a shadow model of every cell written to it.
+struct Tracked {
+  WorldState ws;
+  std::unordered_map<StateKey, U256> model;
+
+  void set(const StateKey& key, const U256& value) {
+    ws.set(key, value);
+    model[key] = value;
+  }
+};
+
+// Every key in `universe` reads back through get() as the model says (zero
+// when the model never saw it, so a write leaking in from a state sharing
+// storage shows up), and, when `root` is set, the incremental root equals
+// the full-rebuild oracle.
+::testing::AssertionResult matches_oracle(
+    const Tracked& t, const std::unordered_set<StateKey>& universe,
+    bool root = true) {
+  for (const StateKey& key : universe) {
+    const auto it = t.model.find(key);
+    const U256 expect = it == t.model.end() ? U256{} : it->second;
+    if (t.ws.get(key) != expect)
+      return ::testing::AssertionFailure()
+             << key.to_string() << " reads " << t.ws.get(key).to_hex()
+             << ", expected " << expect.to_hex();
+  }
+  if (root && t.ws.state_root() != t.ws.state_root_full_rebuild())
+    return ::testing::AssertionFailure() << "root differs from the oracle";
+  return ::testing::AssertionSuccess();
+}
+
 TEST(ForkedCopies, DifferentialFuzzAgainstOracle) {
   // The headline differential fuzz: >= 1000 randomized blocks, each block
   // forking the head into two siblings that commit independently (the
-  // persistent tries shared wherever contents allow), every root checked
-  // against the from-scratch oracle.
+  // persistent tries and the copy-on-write storage shards shared wherever
+  // contents allow).  Each block also makes a copy of a copy and a
+  // copy-assigned state, aims writes from a source and its copy at one
+  // shard in either order, and writes to a moved-from state.  Every
+  // state's get() is checked on every block over every key any state ever
+  // wrote; the fork roots are checked against the from-scratch oracle on
+  // every block, the other states' roots in turn.
   constexpr int kBlocks = 1024;
   Xoshiro256 rng(0x5EED5);
   std::uint64_t builds = 0;
   std::uint64_t slot_updates = 0;
+  std::unordered_set<StateKey> universe;
 
-  const auto random_writes = [&rng](WorldState& ws, std::uint64_t addr_space,
+  const auto random_writes = [&rng](Tracked& t, std::uint64_t addr_space,
                                     int count) {
     for (int i = 0; i < count; ++i) {
       const Address addr = addr_of(1 + rng() % addr_space);
       switch (rng() % 8) {
         case 0:
-          ws.set(StateKey::balance(addr), U256{rng() % 200});
+          t.set(StateKey::balance(addr), U256{rng() % 200});
           break;
         case 1:
-          ws.set(StateKey::nonce(addr), U256{rng() % 64});
+          t.set(StateKey::nonce(addr), U256{rng() % 64});
           break;
         case 2:  // drain toward emptiness (prune + later resurrection)
-          ws.set(StateKey::balance(addr), U256{});
-          ws.set(StateKey::nonce(addr), U256{});
+          t.set(StateKey::balance(addr), U256{});
+          t.set(StateKey::nonce(addr), U256{});
           break;
         default: {
           const U256 slot{rng() % 16};
           const U256 val = (rng() % 4 == 0) ? U256{} : U256{rng() % 100'000};
-          ws.set(StateKey::storage(addr, slot), val);
+          t.set(StateKey::storage(addr, slot), val);
         }
       }
     }
   };
 
-  WorldState head;
+  // partner[s]: a slot outside 0..15 that lands in slot s's shard.
+  std::array<U256, 16> partner;
+  for (std::uint64_t s = 0; s < partner.size(); ++s) {
+    std::uint64_t p = partner.size();
+    while (state::SlotMap::shard_of(U256{p}) !=
+           state::SlotMap::shard_of(U256{s}))
+      ++p;
+    partner[s] = U256{p};
+  }
+  // Writes into slot s's shard of `addr`, which `src` and `copy` share
+  // after a copy, the source or the copy first: each side must clone its
+  // own.
+  const auto same_shard_writes = [&rng, &partner](Tracked& src, Tracked& copy,
+                                                  const Address& addr,
+                                                  std::uint64_t s) {
+    Tracked* first = &src;
+    Tracked* second = &copy;
+    if (rng() % 2) std::swap(first, second);
+    // Different slots, so an in-place write leaking into the sharer is not
+    // masked by the sharer's own write.
+    first->set(StateKey::storage(addr, U256{s}), U256{1 + rng() % 100'000});
+    second->set(StateKey::storage(addr, partner[s]),
+                (rng() % 3 == 0) ? U256{} : U256{1 + rng() % 100'000});
+  };
+
+  Tracked head;
   random_writes(head, 16, 48);
-  ASSERT_EQ(head.state_root(), head.state_root_full_rebuild());
+  for (const auto& [key, value] : head.model) universe.insert(key);
+  ASSERT_TRUE(matches_oracle(head, universe));
+  Tracked assigned;  // copy-assigned from each block's fork
 
   for (int block = 0; block < kBlocks; ++block) {
     // A slowly growing address space keeps fresh accounts (and therefore
@@ -451,28 +528,52 @@ TEST(ForkedCopies, DifferentialFuzzAgainstOracle) {
 
     // Pending writes on the head are carried into both forks' dirty sets.
     random_writes(head, addr_space, 1 + static_cast<int>(rng() % 6));
-    const auto base = head.commit_stats();
-    WorldState a = head;
-    WorldState b = head;
+    const auto base = head.ws.commit_stats();
+    Tracked a = head;
+    Tracked b = head;
+    Tracked aa = a;  // a copy of a copy
+
+    const Address hot = addr_of(1 + rng() % addr_space);
+    const std::uint64_t hot_slot = rng() % partner.size();
+    same_shard_writes(head, a, addr_of(1 + rng() % addr_space),
+                      rng() % partner.size());
+    same_shard_writes(a, aa, hot, hot_slot);
 
     // Divergent tails on top of the shared pending writes.
     if (rng() % 2) random_writes(a, addr_space, 1 + static_cast<int>(rng() % 4));
     if (rng() % 2) random_writes(b, addr_space, 1 + static_cast<int>(rng() % 4));
 
-    const Hash256 ra = a.state_root();
-    const Hash256 rb = b.state_root();
-    ASSERT_EQ(ra, a.state_root_full_rebuild()) << "block " << block;
-    ASSERT_EQ(rb, b.state_root_full_rebuild()) << "block " << block;
-    for (const WorldState* fork : {&a, &b}) {
-      const auto st = fork->commit_stats();
+    // Copy-assignment over a state still holding an older block's shards.
+    // aa owns the hot shard it just wrote, so its next write there must
+    // clone too.
+    assigned = aa;
+    same_shard_writes(aa, assigned, hot, hot_slot);
+
+    const std::array<const Tracked*, 5> states{&a, &b, &head, &aa, &assigned};
+    for (const Tracked* t : states)
+      for (const auto& [key, value] : t->model) universe.insert(key);
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      const bool root = i < 2 || i == 2 + block % 3;
+      ASSERT_TRUE(matches_oracle(*states[i], universe, root))
+          << "block " << block << " state " << i;
+    }
+    for (const Tracked* fork : {&a, &b}) {
+      const auto st = fork->ws.commit_stats();
       builds += st.accounts_resynced - base.accounts_resynced;
       slot_updates += st.slots_resynced - base.slots_resynced;
     }
 
-    head = (rng() % 2) ? std::move(a) : std::move(b);
+    // The moved-from fork is an empty state that takes writes like a new one.
+    Tracked& survivor = (rng() % 2) ? a : b;
+    head = std::move(survivor);
+    survivor.model.clear();
+    ASSERT_EQ(survivor.ws.account_count(), 0u) << "block " << block;
+    random_writes(survivor, addr_space, 1 + static_cast<int>(rng() % 3));
+    for (const auto& [key, value] : survivor.model) universe.insert(key);
+    ASSERT_TRUE(matches_oracle(survivor, universe)) << "block " << block;
   }
   // Full oracle check on the surviving lineage.
-  ASSERT_EQ(head.state_root(), head.state_root_full_rebuild());
+  ASSERT_TRUE(matches_oracle(head, universe));
   // Both fold kinds engaged: fresh-account builds and per-slot updates.
   EXPECT_GT(builds, 0u);
   EXPECT_GT(slot_updates, 0u);

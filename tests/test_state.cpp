@@ -80,6 +80,13 @@ TEST(WorldState, CodeAffectsRoot) {
   coded.set(StateKey::balance(kAlice), U256{1});
   coded.set_code(kAlice, {0x60, 0x00});
   EXPECT_NE(plain.state_root(), coded.state_root());
+  // The incremental root encodes the code_hash memo; the oracle hashes the
+  // code itself.  Empty code encodes keccak("") like no code at all.
+  EXPECT_EQ(coded.state_root(), coded.state_root_full_rebuild());
+  WorldState empty_code = plain;
+  empty_code.set_code(kAlice, {});
+  EXPECT_EQ(empty_code.state_root(), plain.state_root());
+  EXPECT_EQ(empty_code.state_root(), empty_code.state_root_full_rebuild());
 }
 
 TEST(StateKey, EqualityAndHash) {

@@ -2,17 +2,21 @@
 // primitives.  Registered under the `stress` ctest label (and `commit`, so
 // the tsan-commit preset picks them up): the interesting assertions here
 // are the ones ThreadSanitizer makes — copies taken while commits are in
-// flight, concurrent rooters and forks sharing persistent tries, and
+// flight, concurrent rooters and forks sharing persistent tries, copies
+// writing into copy-on-write storage shards their source is hashing, and
 // producer/consumer hammering of ThreadPool / MpmcQueue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "commit/commit_pipeline.hpp"
+#include "db/node_store.hpp"
 #include "state/versioned_state.hpp"
 #include "state/world_state.hpp"
 #include "support/mpmc_queue.hpp"
@@ -131,6 +135,90 @@ TEST(StressWorldState, ForksCommittingConcurrentlyShareTries) {
     random_writes(rng, head, 24);
   }
   EXPECT_EQ(head.state_root(), head.state_root_full_rebuild());
+}
+
+TEST(StressWorldState, CopyWritesWhileSourceHashesAndSharerDies) {
+  // Copy-on-write storage under contention.  One thread roots and persists
+  // the source.  A second copies it, writes slots into the shards the copy
+  // shares with the source, hands a copy of its copy to a third thread,
+  // and writes on while the third roots that sharer and destroys it.  The
+  // second thread's last writes hit shards whose only other owner died on
+  // another thread with no synchronization in between: ownership read
+  // from use_count() would write them in place, unordered after the
+  // sharer's reads (a race TSan reports); the epoch token makes them
+  // clone.  Every root must match its oracle.
+  Xoshiro256 rng(0xC0B);
+  constexpr std::uint64_t kContracts = 6;
+  constexpr std::uint64_t kSlots = 192;  // every shard of every contract used
+  const auto random_slot = [](Xoshiro256& r) {
+    return StateKey::storage(addr_of(1 + r() % kContracts), U256{r() % kSlots});
+  };
+  WorldState src;
+  for (std::uint64_t c = 0; c < kContracts; ++c)
+    for (std::uint64_t s = 0; s < kSlots; ++s)
+      src.set(StateKey::storage(addr_of(c + 1), U256{s}), U256{1 + rng() % 1000});
+  const int rounds = kSanitized ? 4 : 12;
+  for (int round = 0; round < rounds; ++round) {
+    for (int i = 0; i < 32; ++i) src.set(random_slot(rng), U256{rng() % 1000});
+    const Hash256 expect = src.state_root_full_rebuild();
+
+    db::InMemoryNodeStore store;
+    Hash256 src_root, sharer_root, sharer_oracle;
+    std::unique_ptr<WorldState> copy, sharer;
+    std::unordered_map<StateKey, U256> copy_model;
+    std::latch handed_over(1);
+    // Relaxed on purpose: it must not order the sharer's death before the
+    // writer's late writes.
+    std::atomic<bool> sharer_dead{false};
+    {
+      std::jthread rooter([&] {
+        src_root = src.state_root();
+        (void)src.persist_commitment(store);
+      });
+      std::jthread writer([&, seed = rng()] {
+        Xoshiro256 wrng(seed);
+        copy = std::make_unique<WorldState>(src);
+        const auto write = [&](const StateKey& key, const U256& value) {
+          copy->set(key, value);
+          copy_model[key] = value;
+        };
+        std::vector<StateKey> first;
+        for (int i = 0; i < 64; ++i) {
+          first.push_back(random_slot(wrng));
+          write(first.back(), U256{wrng() % 1000});
+        }
+        sharer = std::make_unique<WorldState>(*copy);
+        handed_over.count_down();
+        for (int i = 0; i < 16; ++i)  // while the sharer lives
+          write(random_slot(wrng), U256{wrng() % 1000});
+        while (!sharer_dead.load(std::memory_order_relaxed))
+          std::this_thread::yield();
+        // After it died: new values in the shards the copy cloned before
+        // the hand-over, which only the dead sharer shared.  Writing only
+        // there keeps any clone (and the acquire its reference drop makes)
+        // from ordering the sharer's reads before these writes.
+        for (const StateKey& key : first) write(key, U256{1000 + wrng() % 1000});
+      });
+      std::jthread killer([&] {
+        handed_over.wait();
+        sharer_root = sharer->state_root();
+        sharer_oracle = sharer->state_root_full_rebuild();
+        sharer.reset();
+        sharer_dead.store(true, std::memory_order_relaxed);
+      });
+    }
+
+    EXPECT_EQ(src_root, expect) << "round " << round;
+    EXPECT_TRUE(store.contains(expect)) << "round " << round;
+    EXPECT_EQ(sharer_root, sharer_oracle) << "round " << round;
+    EXPECT_EQ(copy->state_root(), copy->state_root_full_rebuild())
+        << "round " << round;
+    for (const auto& [key, value] : copy_model)
+      EXPECT_EQ(copy->get(key), value) << key.to_string();
+    // The source kept every value the copy overwrote.
+    EXPECT_EQ(src.state_root_full_rebuild(), expect) << "round " << round;
+    EXPECT_EQ(src.state_root(), expect) << "round " << round;
+  }
 }
 
 TEST(StressWorldState, CommitPipelineOverlapsCopiesAndSubmissions) {
