@@ -12,7 +12,10 @@
 //  2. Pipeline overlap — propose a chain of blocks with header sealing on
 //     the CommitPipeline vs inline.  Stopwatch phases per height show block
 //     N's commitment running during block N+1's execution; the JSON records
-//     both walls and the tail wait.
+//     both walls, the tail wait, and the heap each chain retains per block.
+//     Block N+1 is built on N's post state before N is sealed, so it
+//     adopts N's fold through the commitment handoff instead of re-hashing
+//     N's writes and keeping a second set of trie nodes for them.
 //
 //  3. Copy under commit — a pool thread runs a heavyweight state_root()
 //     (the in-flight commit) while the main thread keeps taking
@@ -24,8 +27,9 @@
 //     the evidence.  Next to the idle copy time it reports the heap bytes
 //     one copy keeps alive (glibc mallinfo2 delta), for that uncommitted
 //     source and for the committed genesis every chain and replica copies:
-//     storage shards are shared copy-on-write, so a copy pays for the
-//     account map and commitment memo, not for every slot.
+//     the account map, every contract's storage and the commitment memo
+//     are shared copy-on-write by shard, so a copy pays for two shard
+//     tables and the unfolded dirty set, not for every account or slot.
 //
 // Emits BENCH_commit.json (machine-readable) plus a stdout summary.
 //  4. Paged-store rider — the same overlapped chain with a PagedNodeStore
@@ -67,6 +71,12 @@ struct OverlapSample {
   std::size_t nodes_appended = 0;
 };
 
+// Heap bytes in use: arena bytes plus mmapped chunks (glibc mallinfo2).
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = ::mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
 // ---- experiment 1: incremental vs full-rebuild root recomputation ----
 std::vector<RootSample> run_root_recompute(double* oracle_mismatch) {
   workload::WorkloadConfig wc = workload::preset_mainnet();
@@ -107,9 +117,12 @@ std::vector<RootSample> run_root_recompute(double* oracle_mismatch) {
 }
 
 // ---- experiment 2: async seal overlap across a proposed chain ----
+// `retained_out`: heap the chain's blocks (post states, tries) hold once
+// every seal settled, per block.  The pipeline keeps its last result, so
+// the final block is not counted.
 std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
-                                            double* wall_out,
-                                            double* tail_out) {
+                                            double* wall_out, double* tail_out,
+                                            double* retained_out) {
   workload::WorkloadConfig wc = workload::preset_mainnet();
   wc.seed = 0xF19;
   workload::WorkloadGenerator gen(wc);
@@ -152,6 +165,13 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
   }
   *tail_out = tail.elapsed_ms();
   *wall_out = wall.elapsed_ms();
+  // What the blocks alone hold: the heap they give back when dropped (the
+  // shared node cache and genesis stay put across the two readings).
+  const std::size_t with_blocks = heap_in_use();
+  blocks.clear();
+  *retained_out = (static_cast<double>(with_blocks) -
+                   static_cast<double>(heap_in_use())) /
+                  static_cast<double>(kHeights);
   return samples;
 }
 
@@ -160,14 +180,15 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
 // through the write API, so the first state_root() builds the whole trie.
 state::WorldState uncommitted_copy(const state::WorldState& src) {
   state::WorldState ws;
-  for (const auto& [addr, acct] : src.accounts()) {
+  src.for_each_account([&ws](const Address& addr,
+                              const state::AccountData& acct) {
     ws.set(state::StateKey::balance(addr), acct.balance);
     ws.set(state::StateKey::nonce(addr), U256{acct.nonce});
     if (acct.code != nullptr) ws.set_code(addr, *acct.code);
     acct.storage.for_each([&ws, &addr](const U256& slot, const U256& value) {
       ws.set(state::StateKey::storage(addr, slot), value);
     });
-  }
+  });
   return ws;
 }
 
@@ -177,11 +198,6 @@ struct CopyCost {
   double ms = 0.0;
   std::size_t bytes = 0;
 };
-
-std::size_t heap_in_use() {
-  const struct mallinfo2 mi = ::mallinfo2();
-  return mi.uordblks + mi.hblkhd;
-}
 
 CopyCost measure_copy(const state::WorldState& src) {
   CopyCost out;
@@ -278,20 +294,23 @@ CopyUnderCommit run_copy_under_commit() {
 constexpr int kOverlapRepeats = 3;
 
 std::vector<OverlapSample> run_overlap(commit::CommitPipeline* pipe,
-                                       double* wall_out, double* tail_out) {
+                                       double* wall_out, double* tail_out,
+                                       double* retained_out) {
   std::vector<OverlapSample> best;
-  double best_wall = 0, best_tail = 0;
+  double best_wall = 0, best_tail = 0, best_retained = 0;
   for (int rep = 0; rep < kOverlapRepeats; ++rep) {
-    double w = 0, t = 0;
-    std::vector<OverlapSample> s = run_overlap_once(pipe, &w, &t);
+    double w = 0, t = 0, r = 0;
+    std::vector<OverlapSample> s = run_overlap_once(pipe, &w, &t, &r);
     if (rep == 0 || w < best_wall) {
       best = std::move(s);
       best_wall = w;
       best_tail = t;
+      best_retained = r;
     }
   }
   *wall_out = best_wall;
   *tail_out = best_tail;
+  *retained_out = best_retained;
   return best;
 }
 
@@ -328,13 +347,15 @@ void run() {
               cache.bytes, cache.capacity);
 
   // Overlap experiment: inline sealing vs commit-pipeline sealing.
-  double serial_wall = 0, serial_tail = 0;
-  const auto serial = run_overlap(nullptr, &serial_wall, &serial_tail);
+  double serial_wall = 0, serial_tail = 0, serial_retained = 0;
+  const auto serial =
+      run_overlap(nullptr, &serial_wall, &serial_tail, &serial_retained);
 
   ThreadPool commit_pool(2);
   commit::CommitPipeline pipe(&commit_pool);
-  double async_wall = 0, async_tail = 0;
-  const auto overlapped = run_overlap(&pipe, &async_wall, &async_tail);
+  double async_wall = 0, async_tail = 0, async_retained = 0;
+  const auto overlapped =
+      run_overlap(&pipe, &async_wall, &async_tail, &async_retained);
 
   std::printf("\n%8s %6s %14s %14s %14s\n", "height", "txs", "serial-ms",
               "async-exec-ms", "commit-ms");
@@ -348,6 +369,9 @@ void run() {
   std::printf("pipeline wall: %.2f ms inline-seal vs %.2f ms overlapped "
               "(tail wait %.2f ms, saved %.2f ms)\n",
               serial_wall, async_wall, async_tail, serial_wall - async_wall);
+  std::printf("heap retained per block: %.1f KiB inline-seal vs %.1f KiB "
+              "overlapped (each child adopts its parent's fold)\n",
+              serial_retained / 1024.0, async_retained / 1024.0);
 
   // Experiment 4: the same overlapped chain, now with the paged node store
   // attached — every seal also appends the block's dirty nodes to disk.
@@ -369,10 +393,10 @@ void run() {
       store_pipe.set_node_store(store.get());
       constexpr int kPairedRepeats = 5;
       for (int rep = 0; rep < kPairedRepeats; ++rep) {
-        double w = 0, t = 0;
-        (void)run_overlap_once(&pipe, &w, &t);
+        double w = 0, t = 0, r = 0;
+        (void)run_overlap_once(&pipe, &w, &t, &r);
         if (rep == 0 || w < plain_wall) plain_wall = w;
-        const auto rode = run_overlap_once(&store_pipe, &w, &t);
+        const auto rode = run_overlap_once(&store_pipe, &w, &t, &r);
         if (rep == 0 || w < store_wall) store_wall = w;
         for (const OverlapSample& s : rode) persist_total += s.persist_ms;
       }
@@ -472,6 +496,10 @@ void run() {
   std::fprintf(f, "    \"commit_tail_wait_ms\": %.4f,\n", async_tail);
   std::fprintf(f, "    \"commit_hidden_ms\": %.4f,\n",
                commit_total - async_tail);
+  std::fprintf(f, "    \"serial_retained_bytes_per_block\": %.0f,\n",
+               serial_retained);
+  std::fprintf(f, "    \"overlapped_retained_bytes_per_block\": %.0f,\n",
+               async_retained);
   std::fprintf(f, "    \"saved_ms\": %.4f\n  },\n",
                serial_wall - async_wall);
   std::fprintf(f, "  \"paged_store_rider\": {\n");

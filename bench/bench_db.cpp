@@ -15,13 +15,19 @@
 //     budgets from state/8 to 2x state.
 //  4. Compaction — live ratio, reclaimed bytes, and the pause of a full
 //     compact() over an overwrite-heavy history.
+//  5. Sweep at the trigger point — one compact() at a live ratio of about
+//     0.45 with a writer racing it: walk and copy times, and the writer's
+//     longest put()/commit_root() stall while the sweep runs.
 //
 // Emits BENCH_db.json.  `--smoke` shrinks sizes for CI and turns the
 // invariants above into exit-code gates.
+#include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "db/paged_node_store.hpp"
@@ -41,6 +47,7 @@ struct Sizes {
   std::size_t append_nodes;   // experiment 1
   std::size_t state_keys;     // experiments 2+3
   std::size_t rewrite_blocks;  // experiment 4
+  std::size_t sweep_keys;      // experiment 5
 };
 
 Bytes random_bytes(Xoshiro256& rng, std::size_t len) {
@@ -265,11 +272,104 @@ CompactionResult run_compaction(const std::string& dir, std::size_t blocks) {
   return out;
 }
 
+// ---- experiment 5: one sweep at the trigger point, with a writer racing it
+// A store at a live ratio of about 0.45 (just under the background sweep's
+// 0.5 trigger) is compacted on one thread while another keeps putting
+// nodes and committing roots, as a node's commit pipeline would.  The sweep
+// holds the store lock only for its snapshot and its swap, so the writer's
+// longest put() and commit_root() stalls are the evidence, next to the
+// sweep's own walk (scan + liveness) and copy (+ fsync) times.
+struct SweepPointResult {
+  double live_ratio = 0.0;
+  std::uint64_t file_bytes = 0;
+  double sweep_ms = 0.0;
+  double walk_ms = 0.0;
+  double copy_ms = 0.0;
+  std::size_t racing_puts = 0;
+  double max_put_ms = 0.0;
+  double max_commit_ms = 0.0;
+  double idle_max_put_ms = 0.0;  // same writer, no sweep running
+  double idle_max_commit_ms = 0.0;
+  bool root_survives = false;
+};
+
+SweepPointResult run_sweep_point(const std::string& dir, std::size_t keys) {
+  db::PagedNodeStore::Options opts;
+  opts.retained_roots = 4;
+  std::unique_ptr<db::PagedNodeStore> store;
+  SweepPointResult out;
+  if (!db::PagedNodeStore::open(dir, opts, store).ok()) {
+    std::printf("sweep point: open failed\n");
+    return out;
+  }
+  MerklePatriciaTrie t;
+  Xoshiro256 rng(0x5EE9);
+  std::uint64_t height = 0;
+  const auto write_block = [&](std::size_t n, bool fresh_keys) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t k = fresh_keys ? t.size() : rng.below(keys);
+      std::uint8_t key[8];
+      std::memcpy(key, &k, sizeof(k));
+      const Bytes value = random_bytes(rng, 60);
+      t.put(std::span<const std::uint8_t>(key, sizeof(key)), std::span(value));
+    }
+    t.persist_nodes(*store);
+    (void)store->commit_root(t.root_hash(), ++height);
+  };
+  write_block(keys, true);
+  // Small overwrite blocks kill old paths; stop at the first check under
+  // 0.45.
+  for (int b = 0;; ++b) {
+    write_block(keys / 256, false);
+    if (b % 2 == 1 && (out.live_ratio = store->live_ratio()) <= 0.45) break;
+  }
+  out.file_bytes = store->stats().file_bytes;
+
+  // The writer: single puts of young nodes, a commit_root every 16.
+  const auto writer_step = [&](std::size_t i, double* max_put,
+                               double* max_commit) {
+    const Bytes enc = random_bytes(rng, 100);
+    Stopwatch sw;
+    (void)store->put(Hash256::of(std::span(enc)), std::span(enc));
+    *max_put = std::max(*max_put, sw.elapsed_ms());
+    if (i % 16 == 15) {
+      sw.reset();
+      (void)store->commit_root(t.root_hash(), ++height);
+      *max_commit = std::max(*max_commit, sw.elapsed_ms());
+    }
+  };
+  for (std::size_t i = 0; i < 256; ++i)
+    writer_step(i, &out.idle_max_put_ms, &out.idle_max_commit_ms);
+
+  std::atomic<bool> done{false};
+  db::Status swept;
+  {
+    std::jthread sweeper([&] {
+      Stopwatch sw;
+      swept = store->compact();
+      out.sweep_ms = sw.elapsed_ms();
+      done.store(true);
+    });
+    do {
+      writer_step(out.racing_puts++, &out.max_put_ms, &out.max_commit_ms);
+    } while (!done.load());
+  }
+  if (!swept.ok()) std::printf("sweep failed: %s\n", swept.message.c_str());
+  const auto stats = store->stats();
+  out.walk_ms = stats.last_sweep_walk_ms;
+  out.copy_ms = stats.last_sweep_copy_ms;
+  trie::NodeCache::global().clear();
+  const MerklePatriciaTrie reloaded =
+      MerklePatriciaTrie::from_root(t.root_hash(), *store);
+  out.root_survives = swept.ok() && reloaded.root_hash() == t.root_hash();
+  return out;
+}
+
 int run(bool smoke) {
   print_header("Paged node store: append, read-through cache, compaction",
                "disk-backed state keeps the sealing path append-only");
-  const Sizes sz = smoke ? Sizes{20'000, 5'000, 200}
-                         : Sizes{200'000, 30'000, 1'000};
+  const Sizes sz = smoke ? Sizes{20'000, 5'000, 200, 4'000}
+                         : Sizes{200'000, 30'000, 1'000, 20'000};
 
   char tmpl[] = "/tmp/bpdb_bench_XXXXXX";
   const char* made = ::mkdtemp(tmpl);
@@ -281,6 +381,7 @@ int run(bool smoke) {
   fs::create_directories(base + "/append");
   fs::create_directories(base + "/state");
   fs::create_directories(base + "/compact");
+  fs::create_directories(base + "/sweep");
 
   const std::size_t default_capacity = trie::NodeCache::global().capacity();
   int failures = 0;
@@ -340,6 +441,22 @@ int run(bool smoke) {
     ++failures;
   }
 
+  const SweepPointResult sp = run_sweep_point(base + "/sweep", sz.sweep_keys);
+  std::printf("sweep at live ratio %.3f (%.1f MiB): %.1f ms (walk %.1f ms, "
+              "copy %.1f ms); %zu racing puts, longest put %.3f ms / "
+              "commit_root %.3f ms (%.3f / %.3f ms with no sweep); root "
+              "survives: %s\n",
+              sp.live_ratio,
+              static_cast<double>(sp.file_bytes) / (1024.0 * 1024.0),
+              sp.sweep_ms, sp.walk_ms, sp.copy_ms, sp.racing_puts,
+              sp.max_put_ms, sp.max_commit_ms, sp.idle_max_put_ms,
+              sp.idle_max_commit_ms, sp.root_survives ? "yes" : "NO");
+  if (!sp.root_survives) {
+    std::printf("GATE FAILED: the raced sweep must keep the root "
+                "reconstructible\n");
+    ++failures;
+  }
+
   trie::NodeCache::global().set_capacity(default_capacity);
   trie::NodeCache::global().clear();
 
@@ -378,6 +495,17 @@ int run(bool smoke) {
                  comp.live_ratio_before, comp.file_bytes_before,
                  comp.file_bytes_after, comp.compact_ms, comp.avg_barrier_ms,
                  comp.root_survives ? "true" : "false");
+    std::fprintf(f,
+                 "  \"sweep_point\": {\"live_ratio\": %.4f, \"file_bytes\": "
+                 "%" PRIu64 ", \"sweep_ms\": %.3f, \"walk_ms\": %.3f, "
+                 "\"copy_ms\": %.3f, \"racing_puts\": %zu, \"max_put_ms\": "
+                 "%.4f, \"max_commit_root_ms\": %.4f, \"idle_max_put_ms\": "
+                 "%.4f, \"idle_max_commit_root_ms\": %.4f, "
+                 "\"root_survives\": %s},\n",
+                 sp.live_ratio, sp.file_bytes, sp.sweep_ms, sp.walk_ms,
+                 sp.copy_ms, sp.racing_puts, sp.max_put_ms, sp.max_commit_ms,
+                 sp.idle_max_put_ms, sp.idle_max_commit_ms,
+                 sp.root_survives ? "true" : "false");
     std::fprintf(f, "  \"gates_failed\": %d\n}\n", failures);
     std::fclose(f);
     std::printf("wrote BENCH_db.json\n");

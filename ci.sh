@@ -17,14 +17,16 @@
 # replica, the ThreadPool and its fork_join primitive, and the real-lane
 # subgraph-LPT validator) run in the default build and again under
 # ThreadSanitizer (the tsan-stm preset).
-# The db-labeled crash/recovery suites additionally run under combined
+# The db-labeled crash/recovery suites additionally run under
+# ThreadSanitizer (the tsan-db preset: the store sweep scans sealed pages
+# off the store lock while puts and commits go on) and under combined
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a
 # tmpdir hygiene check: tests and benches must remove their page files.
 # The commit-labeled suites (incremental roots, forked copies sharing
 # copy-on-write storage shards, the commit stress layer) run under the same
 # ASan+UBSan build (the asan-commit preset): shard sharing is lifetime code.
 #
-#   ./ci.sh            # tier-1 + perf-smoke + tsan commit/stress + tsan/asan net + asan-db + asan-commit
+#   ./ci.sh            # tier-1 + perf-smoke + tsan commit/stress/db + tsan/asan net + asan-db + asan-commit
 #   ./ci.sh --tier1    # tier-1 only (fast path)
 #   JOBS=8 ./ci.sh     # override parallelism
 set -euo pipefail
@@ -128,6 +130,10 @@ ctest --preset tsan-stm
 
 echo "==> tsan: engine-differential matrix (proposer x validator engines, adaptive selection)"
 ctest --preset tsan-engine-matrix
+
+echo "==> tsan: db-labeled tests (the sweep reads sealed pages off the store lock)"
+ctest --preset tsan-db
+hygiene_check "tsan-db tests"
 
 echo "==> asan: configure + build (BLOCKPILOT_SANITIZE=address)"
 cmake --preset asan >/dev/null

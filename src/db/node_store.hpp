@@ -69,6 +69,8 @@ class NodeStore {
     std::uint64_t recovered_nodes = 0;   // nodes re-indexed at open
     std::uint64_t compactions = 0;       // completed compaction passes
     std::uint64_t compacted_bytes = 0;   // dead bytes reclaimed
+    double last_sweep_walk_ms = 0.0;     // last compaction: scan + walk
+    double last_sweep_copy_ms = 0.0;     // last compaction: copy + fsync
   };
   virtual Stats stats() const = 0;
 };

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -194,33 +195,47 @@ Status PageFile::sync() {
   return Status::Ok();
 }
 
-Status PageFile::load_page(std::uint32_t page_no, Bytes& page) const {
-  if (page_no >= sealed_pages_)
-    return Status::error(ErrorCode::kNotFound,
-                         "page " + std::to_string(page_no) + " not sealed");
-  page.resize(page_size_);
-  const off_t at = static_cast<off_t>(page_no) * static_cast<off_t>(page_size_);
+Status PageFile::read_at(std::uint64_t at, std::uint8_t* dst,
+                         std::size_t len) const {
   std::size_t done = 0;
-  while (done < page_size_) {
-    const ssize_t n = ::pread(fd_, page.data() + done, page_size_ - done,
-                              at + static_cast<off_t>(done));
+  while (done < len) {
+    const ssize_t n = ::pread(fd_, dst + done, len - done,
+                              static_cast<off_t>(at + done));
     if (n < 0) {
       if (errno == EINTR) continue;
       return io_error("pread", path_);
     }
     if (n == 0)
       return Status::error(ErrorCode::kCorruptPage,
-                           "short read at page " + std::to_string(page_no));
+                           "short read at page " +
+                               std::to_string((at + done) / page_size_));
     done += static_cast<std::size_t>(n);
   }
+  return Status::Ok();
+}
+
+Status PageFile::verify_page(std::uint64_t page_no,
+                             std::span<const std::uint8_t> page) const {
   if (load_u32(page.data()) != kMagic ||
-      load_u32(page.data() + 4) != page_no ||
+      load_u32(page.data() + 4) != static_cast<std::uint32_t>(page_no) ||
       load_u32(page.data() + 8) > payload_capacity() ||
       load_u64(page.data() + 16) != page_checksum(page))
     return Status::error(
         ErrorCode::kCorruptPage,
         "checksum/header mismatch at page " + std::to_string(page_no));
   return Status::Ok();
+}
+
+Status PageFile::load_page(std::uint32_t page_no, Bytes& page) const {
+  if (page_no >= sealed_pages_)
+    return Status::error(ErrorCode::kNotFound,
+                         "page " + std::to_string(page_no) + " not sealed");
+  page.resize(page_size_);
+  const Status st =
+      read_at(static_cast<std::uint64_t>(page_no) * page_size_, page.data(),
+              page_size_);
+  if (!st.ok()) return st;
+  return verify_page(page_no, page);
 }
 
 Status PageFile::read(const PageRef& ref, Bytes& out) const {
@@ -281,42 +296,69 @@ Status PageFile::read(const PageRef& ref, Bytes& out) const {
   return Status::Ok();
 }
 
-Status PageFile::scan(
-    const std::function<Status(const PageRef&, std::span<const std::uint8_t>)>&
-        fn) const {
-  const std::size_t cap = payload_capacity();
-  Bytes page, record;
-  std::uint64_t p = 0;
-  const bool partial = cur_used_ > 0;
-  while (p < sealed_pages_ + (partial ? 1 : 0)) {
-    const std::uint8_t* payload;
-    std::uint32_t used, flags;
-    if (p < sealed_pages_) {
-      const Status st = load_page(static_cast<std::uint32_t>(p), page);
+Status PageFile::scan(std::uint64_t first, std::uint64_t end,
+                      Image& out) const {
+  const std::uint64_t pages = end > first ? end - first : 0;
+  out.pages.resize(pages * page_size_);
+  out.jumbo.clear();
+  out.records.clear();
+  // One pass over the range in large sequential reads; each page's
+  // checksum is verified exactly once, here.
+  constexpr std::uint64_t kPagesPerRead = 256;
+  for (std::uint64_t p = 0; p < pages; p += kPagesPerRead) {
+    const std::uint64_t n = std::min(kPagesPerRead, pages - p);
+    std::uint8_t* dst = out.pages.data() + p * page_size_;
+    Status st = read_at((first + p) * page_size_, dst, n * page_size_);
+    if (!st.ok()) return st;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      st = verify_page(first + p + i,
+                       std::span(dst + i * page_size_, page_size_));
       if (!st.ok()) return st;
-      payload = page.data() + kPageHeaderSize;
-      used = load_u32(page.data() + 8);
-      flags = load_u32(page.data() + 12);
-    } else {
-      payload = cur_page_.data() + kPageHeaderSize;
-      used = cur_used_;
-      flags = cur_flags_;
     }
+  }
+
+  for (std::uint64_t p = 0; p < pages;) {
+    const std::uint8_t* page = out.pages.data() + p * page_size_;
+    const std::uint8_t* payload = page + kPageHeaderSize;
+    const std::uint32_t used = load_u32(page + 8);
+    const std::uint32_t flags = load_u32(page + 12);
     if ((flags & kFlagJumboCont) != 0)
       return Status::error(ErrorCode::kCorruptPage,
                            "dangling jumbo continuation at page " +
-                               std::to_string(p));
+                               std::to_string(first + p));
     if ((flags & kFlagJumboStart) != 0) {
-      const PageRef ref{static_cast<std::uint32_t>(p), 0};
-      const Status st = read(ref, record);
-      if (!st.ok()) return st;
-      const Status fs = fn(ref, std::span<const std::uint8_t>(record));
-      if (!fs.ok()) return fs;
-      // Skip the continuation pages of this span.
-      const std::size_t len = record.size();
-      const std::size_t in_first = cap - kRecordHeaderSize;
-      const std::size_t rest = len > in_first ? len - in_first : 0;
-      p += 1 + (rest + cap - 1) / cap;
+      // Reassemble the span from this page and its continuations.
+      if (used < kRecordHeaderSize)
+        return Status::error(
+            ErrorCode::kCorruptPage,
+            "short jumbo start at page " + std::to_string(first + p));
+      const std::uint32_t len = load_u32(payload);
+      Bytes& record = out.jumbo.emplace_back();
+      record.reserve(len);
+      const std::size_t head =
+          std::min<std::size_t>(len, used - kRecordHeaderSize);
+      record.insert(record.end(), payload + kRecordHeaderSize,
+                    payload + kRecordHeaderSize + head);
+      const std::uint64_t start = p++;
+      while (record.size() < len) {
+        if (p >= pages)
+          return Status::error(ErrorCode::kCorruptPage,
+                               "jumbo span past the scanned range at page " +
+                                   std::to_string(first + p));
+        const std::uint8_t* cont = out.pages.data() + p * page_size_;
+        if ((load_u32(cont + 12) & kFlagJumboCont) == 0)
+          return Status::error(ErrorCode::kCorruptPage,
+                               "jumbo span not continued at page " +
+                                   std::to_string(first + p));
+        const std::size_t take =
+            std::min<std::size_t>(len - record.size(), load_u32(cont + 8));
+        record.insert(record.end(), cont + kPageHeaderSize,
+                      cont + kPageHeaderSize + take);
+        ++p;
+      }
+      out.records.emplace_back(
+          PageRef{static_cast<std::uint32_t>(first + start), 0},
+          std::span<const std::uint8_t>(record));
       continue;
     }
     std::uint32_t off = 0;
@@ -325,12 +367,11 @@ Status PageFile::scan(
       if (off + kRecordHeaderSize + len > used)
         return Status::error(ErrorCode::kCorruptPage,
                              "record overruns payload at page " +
-                                 std::to_string(p));
-      const PageRef ref{static_cast<std::uint32_t>(p), off};
-      const Status fs =
-          fn(ref, std::span<const std::uint8_t>(
-                      payload + off + kRecordHeaderSize, len));
-      if (!fs.ok()) return fs;
+                                 std::to_string(first + p));
+      out.records.emplace_back(
+          PageRef{static_cast<std::uint32_t>(first + p), off},
+          std::span<const std::uint8_t>(payload + off + kRecordHeaderSize,
+                                        len));
       off += kRecordHeaderSize + len;
     }
     ++p;

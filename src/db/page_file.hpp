@@ -22,11 +22,13 @@
 // page lives in memory until sync() seals it (short page: `used` < payload
 // capacity) and fsyncs.  Sealed pages are never rewritten, which is what
 // makes the format crash-safe: after a crash, every byte at or before the
-// last synced page boundary is exactly what sync() flushed.
+// last synced page boundary is exactly what sync() flushed.  It is also
+// what lets scan() read a sealed prefix without the owner's lock while
+// appends carry on past it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -84,12 +86,24 @@ class PageFile {
   /// from memory), verifying every page checksum on the way.
   Status read(const PageRef& ref, Bytes& out) const;
 
-  /// Walks every whole record in pages [0, sealed_pages()) plus the
-  /// in-memory partial page, invoking `fn(ref, record)`.  Stops and
-  /// returns the first non-ok status (from a damaged page or from `fn`).
-  Status scan(
-      const std::function<Status(const PageRef&, std::span<const std::uint8_t>)>&
-          fn) const;
+  /// A run of sealed pages read into memory: the raw pages and every
+  /// record in file order.  Ordinary records are spans into `pages`; jumbo
+  /// records are reassembled into `jumbo` (their bytes are split by page
+  /// headers).  Refs are absolute.
+  struct Image {
+    Bytes pages;
+    std::deque<Bytes> jumbo;
+    std::vector<std::pair<PageRef, std::span<const std::uint8_t>>> records;
+  };
+
+  /// Reads pages [first, end) once, in order, verifying each page's header
+  /// and checksum once, and lists their records.  Reads only the file: it
+  /// touches neither the partial page nor sealed_pages(), so it may run
+  /// without the owner's lock while append()/sync() go on, provided `end`
+  /// had been sealed when the caller observed it (sealed pages never
+  /// change) and `first` is 0 or such an observed boundary (a jumbo span
+  /// never straddles one).  kCorruptPage on any damaged page or record.
+  Status scan(std::uint64_t first, std::uint64_t end, Image& out) const;
 
   std::uint64_t sealed_pages() const noexcept { return sealed_pages_; }
   std::size_t page_size() const noexcept { return page_size_; }
@@ -112,6 +126,11 @@ class PageFile {
   Status seal_current_page(std::uint32_t flags_of_next);
   Status write_page(std::uint32_t page_no, std::span<const std::uint8_t> page);
   Status load_page(std::uint32_t page_no, Bytes& page) const;
+  /// pread of `len` bytes at `at`; kCorruptPage on a short file.
+  Status read_at(std::uint64_t at, std::uint8_t* dst, std::size_t len) const;
+  /// Header + checksum check of one page read from disk as `page_no`.
+  Status verify_page(std::uint64_t page_no,
+                     std::span<const std::uint8_t> page) const;
   static std::uint64_t page_checksum(std::span<const std::uint8_t> page);
   void start_page(std::uint32_t flags);
 

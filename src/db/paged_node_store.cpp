@@ -7,9 +7,11 @@
 #include <cerrno>
 #include <cstring>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/stopwatch.hpp"
 
 namespace blockpilot::db {
 
@@ -174,6 +176,21 @@ bool collect_candidates(std::span<const std::uint8_t> d, int depth,
   return true;
 }
 
+// Records are {32-byte hash, encoding}.
+Hash256 record_hash(std::span<const std::uint8_t> rec) {
+  Hash256 h;
+  std::memcpy(h.bytes.data(), rec.data(), 32);
+  return h;
+}
+
+Status check_records(const PageFile::Image& image) {
+  for (const auto& [ref, rec] : image.records)
+    if (rec.size() < 32)
+      return Status::error(ErrorCode::kCorruptPage,
+                           "record shorter than a node hash");
+  return Status::Ok();
+}
+
 Status io_error(const char* what, const std::string& path) {
   return Status::error(ErrorCode::kIo, std::string(what) + " failed for " +
                                            path + ": " + std::strerror(errno));
@@ -223,10 +240,11 @@ Status PagedNodeStore::open(const std::string& dir, const Options& opts,
 
   PageFile::Options fopts;
   fopts.page_size = store->opts_.page_size;
+  std::unique_ptr<PageFile> file;
   st = PageFile::open(dir + "/" + data_file_name(store->file_seq_), fopts,
-                      fresh ? UINT64_MAX : store->durable_pages_hint_,
-                      store->file_);
+                      fresh ? UINT64_MAX : store->durable_pages_hint_, file);
   if (!st.ok()) return st;
+  store->file_ = std::move(file);
 
   if (!fresh) {
     st = store->rebuild_index_locked();
@@ -298,21 +316,17 @@ Status PagedNodeStore::write_manifest_locked(const Hash256& root,
 }
 
 Status PagedNodeStore::rebuild_index_locked() {
-  Status st = file_->scan(
-      [&](const PageRef& ref, std::span<const std::uint8_t> rec) -> Status {
-        if (rec.size() < 32)
-          return Status::error(ErrorCode::kCorruptPage,
-                               "record shorter than a node hash");
-        Hash256 h;
-        std::memcpy(h.bytes.data(), rec.data(), 32);
-        if (index_.emplace(h, ref).second) {
-          total_record_bytes_ += rec.size();
-          ++stats_.nodes;
-          stats_.node_bytes += rec.size() - 32;
-        }
-        return Status::Ok();
-      });
+  PageFile::Image image;
+  Status st = file_->scan(0, file_->sealed_pages(), image);
+  if (st.ok()) st = check_records(image);
   if (!st.ok()) return st;
+  for (const auto& [ref, rec] : image.records) {
+    if (index_.emplace(record_hash(rec), ref).second) {
+      total_record_bytes_ += rec.size();
+      ++stats_.nodes;
+      stats_.node_bytes += rec.size() - 32;
+    }
+  }
   stats_.recovered_nodes = index_.size();
   return Status::Ok();
 }
@@ -426,56 +440,90 @@ NodeStore::Stats PagedNodeStore::stats() const {
   return s;
 }
 
-// BFS over the node graph from the retained roots plus the young appends.
-// Per-node locking (get() takes mu_ per record), so commits interleave.
-std::unordered_set<Hash256> PagedNodeStore::walk_live(
-    std::uint64_t* live_bytes) const {
+// The sweep's walk, shared by live_ratio().  The sealed prefix is the
+// bulk of the file and never changes, so it is read (and checksummed) once
+// without the lock; the BFS then runs over those bytes in memory.  Only
+// nodes past the snapshot (the partial page) go through the locked get():
+// a put racing the walk is reachable from no snapshot root, since trie
+// nodes are persisted children first.
+struct PagedNodeStore::LiveWalk {
+  std::shared_ptr<const PageFile> file;  // pinned across a concurrent swap
+  std::uint64_t pages = 0;               // sealed pages at the snapshot
+  PageFile::Image image;
+  std::deque<Bytes> fetched;  // records read through get(), past the snapshot
+  std::vector<std::span<const std::uint8_t>> live;  // hash + encoding
+  std::uint64_t live_bytes = 0;
+  std::uint64_t total_bytes = 0;  // total_record_bytes_ at the snapshot
+
+  double ratio() const {
+    return total_bytes == 0 ? 1.0
+                            : static_cast<double>(live_bytes) /
+                                  static_cast<double>(total_bytes);
+  }
+};
+
+Status PagedNodeStore::walk(LiveWalk& w) const {
   std::vector<Hash256> frontier;
   {
     std::scoped_lock lk(mu_);
     for (const auto& [root, gen] : recent_roots_) frontier.push_back(root);
     for (const auto& [hash, gen] : recent_puts_) frontier.push_back(hash);
+    w.file = file_;
+    w.pages = file_->sealed_pages();
+    w.total_bytes = total_record_bytes_;
   }
-  std::unordered_set<Hash256> live;
-  std::uint64_t bytes = 0;
+  Status st = w.file->scan(0, w.pages, w.image);
+  if (st.ok()) st = check_records(w.image);
+  if (!st.ok()) return st;
+  std::unordered_map<Hash256, std::span<const std::uint8_t>> sealed;
+  sealed.reserve(w.image.records.size());
+  for (const auto& [ref, rec] : w.image.records)
+    sealed.emplace(record_hash(rec), rec);
+
+  // Every candidate is looked up once: a foreign 32-byte value (a code
+  // hash, a storage word) costs one miss, however often it recurs.
+  std::unordered_set<Hash256> seen;
   std::vector<std::uint8_t> enc;
   std::vector<Hash256> kids;
   while (!frontier.empty()) {
     const Hash256 h = frontier.back();
     frontier.pop_back();
-    if (live.contains(h)) continue;
-    if (!get(h, enc).ok()) continue;  // zero root / foreign candidate
-    live.insert(h);
-    bytes += 32 + enc.size();
+    if (!seen.insert(h).second) continue;
+    std::span<const std::uint8_t> rec;
+    if (const auto it = sealed.find(h); it != sealed.end()) {
+      rec = it->second;
+    } else {
+      st = get(h, enc);
+      if (st.code == ErrorCode::kNotFound) continue;  // zero root / foreign
+      if (!st.ok()) return st;
+      Bytes& owned = w.fetched.emplace_back(h.bytes.begin(), h.bytes.end());
+      owned.insert(owned.end(), enc.begin(), enc.end());
+      rec = owned;
+    }
+    w.live.push_back(rec);
+    w.live_bytes += rec.size();
     kids.clear();
-    (void)collect_candidates(std::span(enc), 0, kids);
+    (void)collect_candidates(rec.subspan(32), 0, kids);
     for (const Hash256& k : kids)
-      if (!live.contains(k)) frontier.push_back(k);
+      if (!seen.contains(k)) frontier.push_back(k);
   }
-  if (live_bytes != nullptr) *live_bytes = bytes;
-  return live;
+  return Status::Ok();
 }
 
 double PagedNodeStore::live_ratio() const {
-  std::uint64_t live_bytes = 0;
-  (void)walk_live(&live_bytes);
-  std::scoped_lock lk(mu_);
-  return live_ratio_locked(live_bytes);
-}
-
-double PagedNodeStore::live_ratio_locked(std::uint64_t live_bytes) const {
-  if (total_record_bytes_ == 0) return 1.0;
-  return static_cast<double>(live_bytes) /
-         static_cast<double>(total_record_bytes_);
+  LiveWalk w;
+  if (!walk(w).ok()) return 1.0;
+  return w.ratio();
 }
 
 Status PagedNodeStore::maybe_compact() { return sweep(true); }
 
 Status PagedNodeStore::compact() { return sweep(false); }
 
-// One walk both decides and feeds the copy.  compacting_ is set before it,
-// so a put racing the walk lands in puts_during_compaction_ whichever way
-// the decision falls.
+// compacting_ is set before the walk's snapshot, so every put racing the
+// sweep lands in puts_during_compaction_ whichever way the decision falls.
+// Racing puts are kept with whatever of their closure the walk did not
+// keep (a racing put may reference an old node no retained root reaches).
 Status PagedNodeStore::sweep(bool only_if_sparse) {
   {
     std::scoped_lock lk(mu_);
@@ -486,74 +534,92 @@ Status PagedNodeStore::sweep(bool only_if_sparse) {
     compacting_ = true;
     puts_during_compaction_.clear();
   }
+  const std::uint64_t new_seq = file_seq_ + 1;
+  const std::string new_path = dir_ + "/" + data_file_name(new_seq);
   auto abort_compaction = [&](Status why) {
+    (void)PageFile::unlink(new_path);
     std::scoped_lock lk(mu_);
     compacting_ = false;
     puts_during_compaction_.clear();
     return why;
   };
 
-  std::uint64_t live_bytes = 0;
-  const std::unordered_set<Hash256> live = walk_live(&live_bytes);
-  if (only_if_sparse) {
-    double ratio = 1.0;
-    {
-      std::scoped_lock lk(mu_);
-      ratio = live_ratio_locked(live_bytes);
-    }
-    if (ratio >= opts_.sweep_live_ratio) return abort_compaction(Status::Ok());
-  }
+  const Stopwatch walk_clock;
+  LiveWalk w;
+  Status st = walk(w);
+  if (!st.ok()) return abort_compaction(st);
+  if (only_if_sparse && w.ratio() >= opts_.sweep_live_ratio)
+    return abort_compaction(Status::Ok());
+  const double walk_ms = walk_clock.elapsed_ms();
 
-  // Copy phase (out of lock): rewrite the live set into a fresh file.
-  const std::uint64_t new_seq = file_seq_ + 1;
-  const std::string new_path = dir_ + "/" + data_file_name(new_seq);
+  // Copy phase (out of lock): the survivors, straight from the walk's
+  // bytes, into a fresh file.
+  const Stopwatch copy_clock;
   (void)PageFile::unlink(new_path);  // stale leftover from a crashed sweep
   PageFile::Options fopts;
   fopts.page_size = opts_.page_size;
   std::unique_ptr<PageFile> new_file;
-  Status st = PageFile::open(new_path, fopts, 0, new_file);
+  st = PageFile::open(new_path, fopts, 0, new_file);
   if (!st.ok()) return abort_compaction(st);
-
   std::unordered_map<Hash256, PageRef> new_index;
+  new_index.reserve(w.live.size());
   std::uint64_t new_total = 0;
-  std::vector<std::uint8_t> enc, rec;
-  auto copy_one = [&](const Hash256& h, Status (PagedNodeStore::*getter)(
-                                            const Hash256&,
-                                            std::vector<std::uint8_t>&)
-                                            const) -> Status {
+  std::vector<Hash256> closure;  // children of racing puts, checked at swap
+  auto append = [&](std::span<const std::uint8_t> rec, bool racing) {
+    const Hash256 h = record_hash(rec);
     if (new_index.contains(h)) return Status::Ok();
-    Status gst = (this->*getter)(h, enc);
-    if (gst.code == ErrorCode::kNotFound) return Status::Ok();
-    if (!gst.ok()) return gst;
-    rec.clear();
-    rec.insert(rec.end(), h.bytes.begin(), h.bytes.end());
-    rec.insert(rec.end(), enc.begin(), enc.end());
     PageRef ref;
-    gst = new_file->append(std::span(rec), ref);
-    if (!gst.ok()) return gst;
+    const Status ast = new_file->append(rec, ref);
+    if (!ast.ok()) return ast;
     new_index.emplace(h, ref);
     new_total += rec.size();
+    if (racing) (void)collect_candidates(rec.subspan(32), 0, closure);
     return Status::Ok();
   };
-  for (const Hash256& h : live) {
-    st = copy_one(h, &PagedNodeStore::get);
+  for (const auto rec : w.live) {
+    st = append(rec, false);
     if (!st.ok()) return abort_compaction(st);
   }
+  // Catch up off the lock too: every record sealed since the snapshot is a
+  // racing put (or a young one the walk already kept).
+  std::uint64_t caught_up = 0;
+  {
+    std::scoped_lock lk(mu_);
+    caught_up = file_->sealed_pages();
+  }
+  PageFile::Image tail;
+  st = w.file->scan(w.pages, caught_up, tail);
+  if (st.ok()) st = check_records(tail);
+  for (std::size_t i = 0; st.ok() && i < tail.records.size(); ++i)
+    st = append(tail.records[i].second, true);
+  if (st.ok()) st = new_file->sync();
+  if (!st.ok()) return abort_compaction(st);
+  const double copy_ms = copy_clock.elapsed_ms();
 
-  // Swap phase (locked): drain racing puts, make the new file durable,
-  // point the manifest at it, and retire the old file.
+  // Swap phase (locked): the puts that landed after the catch-up and the
+  // racing puts' missing children, then a sync of that short tail, the
+  // manifest pointing at the new file, and the old file's retirement.
   std::string old_path;
   {
     std::scoped_lock lk(mu_);
-    for (const Hash256& h : puts_during_compaction_) {
-      st = copy_one(h, &PagedNodeStore::get_impl);
-      if (!st.ok()) {
-        compacting_ = false;
-        puts_during_compaction_.clear();
-        return st;
-      }
+    std::vector<Hash256> pending = std::move(puts_during_compaction_);
+    pending.insert(pending.end(), closure.begin(), closure.end());
+    std::vector<std::uint8_t> enc, rec;
+    while (st.ok() && !pending.empty()) {
+      const Hash256 h = pending.back();
+      pending.pop_back();
+      if (new_index.contains(h)) continue;
+      const Status gst = get_impl(h, enc);
+      if (gst.code == ErrorCode::kNotFound) continue;  // foreign candidate
+      st = gst;
+      if (!st.ok()) break;
+      rec.assign(h.bytes.begin(), h.bytes.end());
+      rec.insert(rec.end(), enc.begin(), enc.end());
+      st = append(rec, true);
+      pending.insert(pending.end(), closure.begin(), closure.end());
+      closure.clear();
     }
-    st = new_file->sync();
+    if (st.ok()) st = new_file->sync();
     if (st.ok()) {
       const std::uint64_t old_total = total_record_bytes_;
       old_path = file_->path();
@@ -566,9 +632,15 @@ Status PagedNodeStore::sweep(bool only_if_sparse) {
       stats_.compacted_bytes +=
           old_total > new_total ? old_total - new_total : 0;
       stats_.nodes = index_.size();
+      stats_.last_sweep_walk_ms = walk_ms;
+      stats_.last_sweep_copy_ms = copy_ms;
     }
     compacting_ = false;
     puts_during_compaction_.clear();
+  }
+  if (old_path.empty()) {
+    (void)PageFile::unlink(new_path);
+    return st;
   }
   if (!st.ok()) return st;
   return PageFile::unlink(old_path);
@@ -591,10 +663,8 @@ std::size_t PagedNodeStore::node_count() const {
 
 Status PagedNodeStore::verify_all_pages() const {
   std::scoped_lock lk(mu_);
-  return file_->scan(
-      [](const PageRef&, std::span<const std::uint8_t>) -> Status {
-        return Status::Ok();
-      });
+  PageFile::Image image;
+  return file_->scan(0, file_->sealed_pages(), image);
 }
 
 }  // namespace blockpilot::db

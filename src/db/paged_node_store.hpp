@@ -26,9 +26,14 @@
 // `retained_roots` commit generations, which covers speculative states the
 // pipeline persisted ahead of finalization) and rewrites the survivors
 // into a fresh data file.  The sweep runs on the shared ThreadPool behind
-// commit_root when the live ratio falls below the threshold; puts that
-// race the copy phase are re-appended during the short locked swap, so
-// commits never stall for a whole compaction.
+// commit_root when the live ratio falls below the threshold.  It holds the
+// store lock only to snapshot (roots, young puts, sealed page count) and to
+// swap: the sealed prefix is read once and checksummed once off the lock,
+// liveness is walked in memory over those bytes, the survivors are copied
+// from them, and the new file is fsynced before the swap.  Puts racing the
+// sweep are copied from the pages sealed since the snapshot, off the lock
+// too; only the partial page and the last racing puts are read through the
+// locked path, the latter during the short swap.
 #pragma once
 
 #include <atomic>
@@ -37,7 +42,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "db/node_store.hpp"
 #include "db/page_file.hpp"
@@ -91,7 +95,8 @@ class PagedNodeStore final : public NodeStore {
   Status maybe_compact();
 
   /// Fraction of stored record bytes reachable from the retained roots
-  /// (1.0 for an empty store).  Walk-based — costs one index traversal.
+  /// (1.0 for an empty store).  Runs the sweep's walk: one read of the
+  /// sealed prefix, then an in-memory traversal.
   double live_ratio() const;
 
   /// Test/bench hooks.
@@ -108,10 +113,10 @@ class PagedNodeStore final : public NodeStore {
   Status load_or_init_manifest(bool& fresh);
   Status rebuild_index_locked();
   Status get_impl(const Hash256& hash, std::vector<std::uint8_t>& out) const;
-  /// Live record set (hashes) from retained roots + young appends;
-  /// locks per record, so commits interleave with the walk.
-  std::unordered_set<Hash256> walk_live(std::uint64_t* live_bytes) const;
-  double live_ratio_locked(std::uint64_t live_bytes) const;
+  /// The live set reachable from the retained roots + young appends, as
+  /// records (hash + encoding) in walk order; see LiveWalk in the .cpp.
+  struct LiveWalk;
+  Status walk(LiveWalk& out) const;
   /// compact() (only_if_sparse false) or maybe_compact() (true).
   Status sweep(bool only_if_sparse);
   static std::string data_file_name(std::uint64_t seq);
@@ -121,7 +126,9 @@ class PagedNodeStore final : public NodeStore {
   std::uint64_t durable_pages_hint_ = 0;  // manifest sealed_pages at open
 
   mutable std::mutex mu_;
-  std::unique_ptr<PageFile> file_;
+  // Shared so a walk reading the sealed prefix off the lock keeps the file
+  // (and its descriptor) open across a concurrent swap.
+  std::shared_ptr<PageFile> file_;
   int manifest_fd_ = -1;
   std::uint64_t manifest_gen_ = 0;
   std::uint64_t file_seq_ = 1;

@@ -19,54 +19,82 @@ std::string StateKey::to_string() const {
   return "?";
 }
 
-// Copying shares the persistent tries (O(1) per trie) and every storage
-// shard (copy-on-write; O(1) per contract account), and carries the memos
-// over, so a copied state answers state_root() without re-hashing anything
-// the source had already committed.  What is still copied entry by entry
-// is the account map and the commitment memo: O(accounts), not O(slots).
-// accounts_ is copied outside the commit mutex — it is never mutated
-// concurrently (writes don't race by contract) — and the lock-guarded
-// commitment structures are pure memory copies, so a copy taken while a
-// commit is in flight waits only for that commit's short structural fold,
-// never for its hashing.  Both sides leave with fresh epochs, so neither
-// writes in place to a shard the other now shares.
+// The commitment handoff cell; see the state_root() protocol below.
+struct WorldState::Handoff {
+  std::uint64_t source_writes = 0;  // the source's write count at the copy
+  std::mutex mu;                    // source fills, copies adopt
+  bool filled = false;
+  trie::SecureTrie account_trie;
+  CommitMemo commit;
+};
+
+// Copying shares the persistent tries (O(1) per trie) and every shard of
+// the account map, the storage maps and the commitment memo (copy-on-write;
+// O(shards)), and carries the root memo over, so a copied state answers
+// state_root() without re-hashing anything the source had already
+// committed.  Everything is shared under the source's commit mutex, whose
+// holds are short (a commit in flight holds it only for its structural
+// folds, never for hashing).  Both sides leave with fresh epochs, so
+// neither writes in place to a shard the other now shares.
 WorldState::WorldState(const WorldState& other) {
-  accounts_ = other.accounts_;
   std::scoped_lock lk(other.commit_mu_);
-  other.epoch_ = SlotMap::fresh_epoch();
-  account_trie_ = other.account_trie_;
-  commit_ = other.commit_;
-  dirty_ = other.dirty_;
-  root_memo_ = other.root_memo_;
-  root_valid_ = other.root_valid_;
-  stats_ = other.stats_;
+  accounts_ = other.accounts_;
+  other.share_commitment_locked(*this);
 }
 
 WorldState& WorldState::operator=(const WorldState& other) {
   if (this == &other) return *this;
-  accounts_ = other.accounts_;
   std::scoped_lock lk(commit_mu_, other.commit_mu_);
-  epoch_ = SlotMap::fresh_epoch();
-  other.epoch_ = SlotMap::fresh_epoch();
-  account_trie_ = other.account_trie_;
-  commit_ = other.commit_;
-  dirty_ = other.dirty_;
-  root_memo_ = other.root_memo_;
-  root_valid_ = other.root_valid_;
-  stats_ = other.stats_;
+  accounts_ = other.accounts_;
+  epoch_ = fresh_cow_epoch();
+  other.share_commitment_locked(*this);
   return *this;
+}
+
+// A source with unfolded writes (its own, or ones it inherited and has not
+// folded yet) hands them to the copy twice over: as `inherited_`, which the
+// copy folds itself if it must, and as the handoff cell, which lets it skip
+// that fold.  Copies taken while the source's write count is unchanged
+// share one cell (siblings); a copy after further writes gets a new one.
+void WorldState::share_commitment_locked(WorldState& copy) const {
+  epoch_ = fresh_cow_epoch();
+  copy.account_trie_ = account_trie_;
+  copy.commit_ = commit_;
+  copy.dirty_.clear();
+  copy.handoff_out_.reset();
+  copy.root_memo_ = root_memo_;
+  copy.root_valid_ = root_valid_;
+  copy.stats_ = stats_;
+  if (dirty_.empty() && inherited_.empty()) {
+    copy.inherited_.clear();
+    copy.handoff_in_.reset();
+    return;
+  }
+  copy.inherited_ = inherited_;
+  for (const auto& [addr, slots] : dirty_)
+    copy.inherited_[addr].insert(slots.begin(), slots.end());
+  if (handoff_out_ == nullptr || handoff_out_->source_writes != writes_) {
+    handoff_out_ = std::make_shared<Handoff>();
+    handoff_out_->source_writes = writes_;
+  }
+  copy.handoff_in_ = handoff_out_;
+  copy.root_valid_ = false;
 }
 
 // Moving is a mutation of the source, which by contract cannot race with
 // any other access — no locking needed.  The target takes the source's
-// shards and its epoch; the source is left an empty state with a fresh
-// epoch, ready for reuse.
+// shards, its epoch, its write count and its handoff cells; the source is
+// left an empty state with a fresh epoch, ready for reuse.
 WorldState::WorldState(WorldState&& other) noexcept
     : accounts_(std::move(other.accounts_)),
       epoch_(other.epoch_),
+      writes_(other.writes_),
       account_trie_(std::move(other.account_trie_)),
       commit_(std::move(other.commit_)),
       dirty_(std::move(other.dirty_)),
+      inherited_(std::move(other.inherited_)),
+      handoff_in_(std::move(other.handoff_in_)),
+      handoff_out_(std::move(other.handoff_out_)),
       root_memo_(other.root_memo_),
       root_valid_(other.root_valid_),
       stats_(other.stats_) {
@@ -77,9 +105,13 @@ WorldState& WorldState::operator=(WorldState&& other) noexcept {
   if (this == &other) return *this;
   accounts_ = std::move(other.accounts_);
   epoch_ = other.epoch_;
+  writes_ = other.writes_;
   account_trie_ = std::move(other.account_trie_);
   commit_ = std::move(other.commit_);
   dirty_ = std::move(other.dirty_);
+  inherited_ = std::move(other.inherited_);
+  handoff_in_ = std::move(other.handoff_in_);
+  handoff_out_ = std::move(other.handoff_out_);
   root_memo_ = other.root_memo_;
   root_valid_ = other.root_valid_;
   stats_ = other.stats_;
@@ -88,25 +120,27 @@ WorldState& WorldState::operator=(WorldState&& other) noexcept {
 }
 
 void WorldState::reset_moved_from() noexcept {
-  accounts_.clear();
-  epoch_ = SlotMap::fresh_epoch();
+  accounts_ = AccountMap{};
+  epoch_ = fresh_cow_epoch();
   account_trie_ = trie::SecureTrie{};
-  commit_.clear();
+  commit_ = CommitMemo{};
   dirty_.clear();
+  inherited_.clear();
+  handoff_in_.reset();
+  handoff_out_.reset();
   root_valid_ = false;
 }
 
 U256 WorldState::get(const StateKey& key) const {
-  const auto it = accounts_.find(key.addr);
-  if (it == accounts_.end()) return U256{};
-  const AccountData& acct = it->second;
+  const AccountData* acct = accounts_.find(key.addr);
+  if (acct == nullptr) return U256{};
   switch (key.field) {
     case Field::kBalance:
-      return acct.balance;
+      return acct->balance;
     case Field::kNonce:
-      return U256{acct.nonce};
+      return U256{acct->nonce};
     case Field::kStorage:
-      return acct.storage.get(key.slot);
+      return slot_value(acct->storage, key.slot);
   }
   return U256{};
 }
@@ -124,16 +158,19 @@ void WorldState::set(const StateKey& key, const U256& value) {
       mark_dirty_account(key.addr);
       break;
     case Field::kStorage:
-      acct.storage.set(key.slot, value, epoch_);
+      if (value.is_zero()) {
+        acct.storage.erase(key.slot, epoch_);
+      } else {
+        acct.storage.set(key.slot, value, epoch_);
+      }
       mark_dirty_slot(key.addr, key.slot);
       break;
   }
 }
 
 std::shared_ptr<const Bytes> WorldState::code(const Address& addr) const {
-  const auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return nullptr;
-  return it->second.code;
+  const AccountData* acct = accounts_.find(addr);
+  return acct == nullptr ? nullptr : acct->code;
 }
 
 void WorldState::set_code(const Address& addr, Bytes code) {
@@ -145,9 +182,8 @@ void WorldState::set_code(const Address& addr, Bytes code) {
 }
 
 Hash256 WorldState::code_hash(const Address& addr) const {
-  const auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return Hash256{};
-  return it->second.code_hash;
+  const AccountData* acct = accounts_.find(addr);
+  return acct == nullptr ? Hash256{} : acct->code_hash;
 }
 
 namespace {
@@ -195,7 +231,9 @@ Bytes encode_account(const AccountData& acct, const Hash256& storage_root,
 
 // state_root() protocol — every keccak runs outside commit_mu_:
 //
-//   collect (commit_mu_)   snapshot the dirty set into per-account folds:
+//   collect (commit_mu_)   adopt the handoff cell if the source filled it
+//                          (else fold the inherited writes too), then
+//                          snapshot the dirty set into per-account folds:
 //                          persistent copies of the storage tries to apply
 //                          slots to, memoized roots for body-only changes.
 //                          No hashing.
@@ -206,17 +244,27 @@ Bytes encode_account(const AccountData& acct, const Hash256& storage_root,
 //   install (commit_mu_)   fold results back into commit_ and the account
 //                          trie (puts/erases only — the leaf hashes were
 //                          already memoized in the hash phase), clear the
-//                          dirty set, take a persistent account-trie
+//                          dirty set, fill the handoff cell for copies taken
+//                          meanwhile, take a persistent account-trie
 //                          snapshot.  No hashing beyond keccak(address).
 //   root    (unlocked)     hash the snapshot's root.
 //   memo    (commit_mu_)   publish the memo if nothing re-dirtied.
 //
 // The fold is idempotent — rebuilding a fresh account or re-applying dirty
 // slots from the current accounts_ values reproduces the same tries — so a
-// copy taken between any two phases (which still sees the dirty set) simply
-// re-folds on its own first state_root() and lands on the same root.
-// root_mu_ serializes whole computations so two rooters on the same object
-// cannot interleave their unlocked phases.
+// copy taken between any two phases (which still sees the dirty set)
+// could simply re-fold it on its own first state_root() and land on the
+// same root.  That is the fallback.  The handoff saves the re-fold: the
+// copy's inherited writes are exactly what the source's next install folds
+// (writes never race root queries, and the cell is filled only if the
+// source's write count did not move since the copy), so the source's
+// account trie and memo map after that install are the copy's commitment
+// minus its own writes.  The cell holds both as persistent / copy-on-write
+// snapshots — every memo entry the source changed, including entries it
+// adopted from its own source, at O(shards) — and the copy adopts them
+// wholesale and folds only its own dirty set.  root_mu_ serializes whole
+// computations so two rooters on the same object cannot interleave their
+// unlocked phases.
 struct WorldState::StorageFold {
   enum class Kind { kPrune, kBuild, kApplySlots, kBodyOnly };
 
@@ -230,31 +278,51 @@ struct WorldState::StorageFold {
 };
 
 std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
+  if (handoff_in_ != nullptr) {
+    bool adopted = false;
+    {
+      std::scoped_lock hl(handoff_in_->mu);
+      if (handoff_in_->filled) {
+        account_trie_ = handoff_in_->account_trie;
+        commit_ = handoff_in_->commit;
+        adopted = true;
+      }
+    }
+    if (adopted) {
+      ++stats_.handoffs_adopted;
+    } else {
+      for (const auto& [addr, slots] : inherited_)
+        dirty_[addr].insert(slots.begin(), slots.end());
+    }
+    inherited_.clear();
+    handoff_in_.reset();
+  }
+
   std::vector<StorageFold> folds;
   folds.reserve(dirty_.size());
   stats_.dirty_accounts += dirty_.size();
   for (const auto& [addr, slots] : dirty_) {
     StorageFold f;
     f.addr = addr;
-    const auto ait = accounts_.find(addr);
-    if (ait == accounts_.end() || ait->second.empty_account()) {
+    const AccountData* acct = accounts_.find(addr);
+    if (acct == nullptr || acct->empty_account()) {
       // Pruned like post-EIP-161: drop from the commitment (and the memo,
       // so a later resurrection rebuilds its storage trie).
       f.kind = StorageFold::Kind::kPrune;
       folds.push_back(std::move(f));
       continue;
     }
-    f.acct = &ait->second;
-    AccountCommit& cc = commit_[addr];
-    if (cc.fresh) {
+    f.acct = acct;
+    const AccountCommit* cc = commit_.find(addr);
+    if (cc == nullptr) {
       f.kind = StorageFold::Kind::kBuild;
     } else if (!slots.empty()) {
       f.kind = StorageFold::Kind::kApplySlots;
-      f.trie = cc.storage_trie;  // persistent: puts off-lock path-copy
+      f.trie = cc->storage_trie;  // persistent: puts off-lock path-copy
       f.slots.assign(slots.begin(), slots.end());
     } else {
       f.kind = StorageFold::Kind::kBodyOnly;
-      f.storage_root = cc.storage_root;
+      f.storage_root = cc->storage_root;
     }
     folds.push_back(std::move(f));
   }
@@ -276,7 +344,7 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
         // Only the touched slots; untouched subtrees keep their memoized
         // hashes inside the persistent trie.
         for (const U256& slot : f.slots) {
-          const U256 value = f.acct->storage.get(slot);
+          const U256 value = slot_value(f.acct->storage, slot);
           if (value.is_zero()) {
             const auto key = slot.to_be_bytes();
             f.trie.erase(std::span(key));
@@ -297,53 +365,63 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
 trie::SecureTrie WorldState::install_folds_locked(
     std::vector<StorageFold>& folds) const {
   for (StorageFold& f : folds) {
-    if (f.kind == StorageFold::Kind::kPrune) {
-      account_trie_.erase(std::span(f.addr.bytes));
-      commit_.erase(f.addr);
-      continue;
-    }
-    AccountCommit& cc = commit_[f.addr];
     switch (f.kind) {
-      case StorageFold::Kind::kBuild:
-        cc.storage_trie = std::move(f.trie);
-        cc.storage_root = f.storage_root;
-        cc.fresh = false;
-        ++stats_.accounts_resynced;
-        break;
-      case StorageFold::Kind::kApplySlots:
-        cc.storage_trie = std::move(f.trie);
-        cc.storage_root = f.storage_root;
-        stats_.slots_resynced += f.slots.size();
-        break;
-      case StorageFold::Kind::kBodyOnly:
       case StorageFold::Kind::kPrune:
+        account_trie_.erase(std::span(f.addr.bytes));
+        commit_.erase(f.addr, epoch_);
+        continue;
+      case StorageFold::Kind::kBuild:
+      case StorageFold::Kind::kApplySlots: {
+        AccountCommit& cc = commit_.mutate(f.addr, epoch_);
+        cc.storage_trie = std::move(f.trie);
+        cc.storage_root = f.storage_root;
+        if (f.kind == StorageFold::Kind::kBuild) {
+          ++stats_.accounts_resynced;
+        } else {
+          stats_.slots_resynced += f.slots.size();
+        }
+        break;
+      }
+      case StorageFold::Kind::kBodyOnly:
         break;
     }
     account_trie_.put(std::span(f.addr.bytes), std::span(f.encoded));
   }
   dirty_.clear();
   root_valid_ = false;
+  if (handoff_out_ != nullptr) {
+    if (handoff_out_->source_writes == writes_) {
+      std::scoped_lock hl(handoff_out_->mu);
+      handoff_out_->account_trie = account_trie_;
+      handoff_out_->commit = commit_;
+      handoff_out_->filled = true;
+      epoch_ = fresh_cow_epoch();  // the cell now shares our memo shards
+    }
+    handoff_out_.reset();
+  }
   return account_trie_;  // persistent snapshot: shares nodes, O(1)
 }
 
 Hash256 WorldState::storage_root(const Address& addr) const {
-  const auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return trie::MerklePatriciaTrie::empty_root();
+  const AccountData* acct = accounts_.find(addr);
+  if (acct == nullptr) return trie::MerklePatriciaTrie::empty_root();
   {
     std::scoped_lock lk(commit_mu_);
-    const auto cit = commit_.find(addr);
-    const auto dit = dirty_.find(addr);
-    const bool storage_clean = dit == dirty_.end() || dit->second.empty();
-    if (cit != commit_.end() && !cit->second.fresh && storage_clean)
-      return cit->second.storage_root;
+    const auto storage_clean = [&addr](const DirtySet& set) {
+      const auto it = set.find(addr);
+      return it == set.end() || it->second.empty();
+    };
+    const AccountCommit* cc = commit_.find(addr);
+    if (cc != nullptr && storage_clean(dirty_) && storage_clean(inherited_))
+      return cc->storage_root;
   }
-  return storage_root_of(it->second.storage);
+  return storage_root_of(acct->storage);
 }
 
 Hash256 WorldState::state_root() const {
   {
     std::scoped_lock lk(commit_mu_);
-    if (root_valid_ && dirty_.empty()) {
+    if (memo_valid_locked()) {
       ++stats_.root_memo_hits;
       return root_memo_;
     }
@@ -353,7 +431,7 @@ Hash256 WorldState::state_root() const {
   std::vector<StorageFold> folds;
   {
     std::scoped_lock lk(commit_mu_);
-    if (root_valid_ && dirty_.empty()) {
+    if (memo_valid_locked()) {
       ++stats_.root_memo_hits;
       return root_memo_;
     }
@@ -369,7 +447,7 @@ Hash256 WorldState::state_root() const {
   {
     std::scoped_lock lk(commit_mu_);
     ++stats_.root_recomputes;
-    if (dirty_.empty()) {
+    if (dirty_.empty() && inherited_.empty()) {
       root_memo_ = root;
       root_valid_ = true;
     }
@@ -379,8 +457,9 @@ Hash256 WorldState::state_root() const {
 
 Hash256 WorldState::state_root_full_rebuild() const {
   trie::SecureTrie accounts_trie;
-  for (const auto& [addr, acct] : accounts_) {
-    if (acct.empty_account()) continue;
+  accounts_.for_each([&accounts_trie](const Address& addr,
+                                      const AccountData& acct) {
+    if (acct.empty_account()) return;
     // Hashes the code itself rather than trusting the code_hash memo, so a
     // stale memo on the incremental path shows up as a root mismatch.
     const Hash256 code_hash =
@@ -389,7 +468,7 @@ Hash256 WorldState::state_root_full_rebuild() const {
     const Bytes encoded =
         encode_account(acct, storage_root_of(acct.storage), code_hash);
     accounts_trie.put(std::span(addr.bytes), std::span(encoded));
-  }
+  });
   return accounts_trie.root_hash();
 }
 
@@ -415,9 +494,11 @@ std::size_t WorldState::persist_commitment(db::NodeStore& store) const {
     std::scoped_lock lk(commit_mu_);
     account_snapshot = account_trie_;
     storage_snapshots.reserve(commit_.size());
-    for (const auto& [addr, memo] : commit_)
-      if (!memo.fresh && !memo.storage_trie.empty())
+    commit_.for_each([&storage_snapshots](const Address&,
+                                          const AccountCommit& memo) {
+      if (!memo.storage_trie.empty())
         storage_snapshots.push_back(memo.storage_trie);
+    });
   }
   // Storage tries first: account leaves embed storageRoot references, so
   // the post-order invariant extends across tries — by the time an account

@@ -15,18 +15,29 @@
 // rebuilding the whole trie.  state_root_full_rebuild() preserves the
 // original from-scratch computation as a differential oracle.
 //
-// Copies are cheap: a copy shares the persistent tries (O(1) per trie),
-// shares every contract's storage shards copy-on-write (see slot_map.hpp;
-// a write later clones only the shard it touches), and carries the root and
-// storage-root memos, so a copy of a committed state answers state_root()
-// from the memo without hashing anything.  What a copy still duplicates is
-// O(accounts): the account map and the commitment memo, not O(slots).
-// Commit a state once *before* copying it (e.g. genesis) and every copy
-// inherits that work.  commit_mu_ is a short-hold structural lock:
-// state_root() folds dirty entries under it but performs every hash on
-// persistent-trie snapshots *outside* it, so a finalize-time copy taken
-// while a commit is in flight never waits for hashing (root_mu_ serializes
-// whole root computations instead).
+// Copies are cheap: a copy shares the persistent tries (O(1) per trie) and,
+// copy-on-write by shard, the account map, every contract's storage and the
+// commitment memo (see slot_map.hpp).  A write later clones only the shard
+// it touches, so a retained state pays only for its own writes.  Shard
+// counts follow the traffic: about 2 000 accounts of which about 250 are
+// touched per block, so 1024 account and memo shards keep a block's
+// writes mostly in distinct shards of about two entries each.  A copy of a
+// committed state answers state_root() from the memo without hashing.
+//
+// A copy of a state whose writes are not yet folded (the proposer builds
+// block N+1 on N's post state while N is still hashing) takes a *handoff*
+// cell shared with its source: the source's next fold fills the cell with
+// its account-trie snapshot and memo map, and the copy adopts them and
+// folds only its own writes — neither re-hashing the source's writes nor
+// keeping a second set of trie nodes for them.  The cell is valid only if
+// the source was not written after the copy; a copy that roots first, or
+// whose source changed, folds the inherited writes itself as before.
+//
+// commit_mu_ is a short-hold structural lock: state_root() folds dirty
+// entries under it but performs every hash on persistent-trie snapshots
+// *outside* it, so a finalize-time copy taken while a commit is in flight
+// never waits for hashing (root_mu_ serializes whole root computations
+// instead).
 //
 // Thread-safety matches the trie layer: concurrent const reads (including
 // state_root() and copying) are safe; writes must not race with any other
@@ -76,6 +87,7 @@ struct CommitStats {
   std::uint64_t accounts_resynced = 0;  // full storage-trie (re)builds
   std::uint64_t slots_resynced = 0;     // individual dirty-slot updates
   std::uint64_t dirty_accounts = 0;     // dirty accounts folded in, cumulative
+  std::uint64_t handoffs_adopted = 0;   // source folds adopted, not redone
 };
 
 class WorldState {
@@ -108,6 +120,17 @@ class WorldState {
     return accounts_.contains(addr);
   }
 
+  /// The account record of `addr`, or nullptr when the state never saw it.
+  const AccountData* find_account(const Address& addr) const {
+    return accounts_.find(addr);
+  }
+
+  /// Calls f(addr, account) for every account, in unspecified order.
+  template <class F>
+  void for_each_account(F&& f) const {
+    accounts_.for_each(std::forward<F>(f));
+  }
+
   std::size_t account_count() const noexcept { return accounts_.size(); }
 
   /// Yellow-paper world-state commitment: secure MPT over
@@ -131,10 +154,6 @@ class WorldState {
   /// copies start from the source's counters).
   CommitStats commit_stats() const;
 
-  const std::unordered_map<Address, AccountData>& accounts() const noexcept {
-    return accounts_;
-  }
-
   /// Persists the current commitment into `store`: computes state_root()
   /// (folding any dirty writes), then writes every new node of the account
   /// trie and of each memoized storage trie.  Trie snapshots are taken
@@ -145,29 +164,47 @@ class WorldState {
   std::size_t persist_commitment(db::NodeStore& store) const;
 
  private:
-  /// Memoized commitment pieces for one account.  `fresh` marks a memo that
-  /// has never been built (storage trie must be built from the whole map).
+  /// Memoized commitment pieces for one account; an account without one
+  /// has its storage trie built from the whole map on its next fold.
   struct AccountCommit {
     trie::SecureTrie storage_trie;
     Hash256 storage_root = trie::MerklePatriciaTrie::empty_root();
-    bool fresh = true;
   };
 
   /// Per-account unit of work carried between state_root()'s locked
   /// structural phases and its unlocked hashing phase.
   struct StorageFold;
 
-  AccountData& account(const Address& addr) { return accounts_[addr]; }
+  /// Commitment handoff from a source to the copies taken of it while its
+  /// writes were unfolded; see the protocol in the .cpp.
+  struct Handoff;
+
+  /// Dirty-set shape: touched accounts, each with its touched slots (empty
+  /// when only the body — balance/nonce/code — changed).
+  using DirtySet = std::unordered_map<Address, std::unordered_set<U256>>;
+
+  AccountData& account(const Address& addr) {
+    ++writes_;
+    return accounts_.mutate(addr, epoch_);
+  }
+
+  /// Shares this state's commitment with a copy being made of it: fills the
+  /// copy's handoff fields and redraws this state's epoch.  Called under
+  /// commit_mu_.
+  void share_commitment_locked(WorldState& copy) const;
 
   /// Leaves a moved-from state empty, with a fresh epoch.
   void reset_moved_from() noexcept;
 
-  /// Records a write for the incremental commitment.  An entry with an empty
-  /// slot set means the account body (balance/nonce/code) changed but its
-  /// storage did not.
+  /// Records a write for the incremental commitment.
   void mark_dirty_account(const Address& addr) { dirty_[addr]; }
   void mark_dirty_slot(const Address& addr, const U256& slot) {
     dirty_[addr].insert(slot);
+  }
+
+  /// Memo answer available: nothing dirty, nothing inherited unfolded.
+  bool memo_valid_locked() const {
+    return root_valid_ && dirty_.empty() && inherited_.empty();
   }
 
   // state_root() phases; see the protocol comment in the .cpp.
@@ -175,14 +212,22 @@ class WorldState {
   void hash_folds_unlocked(std::vector<StorageFold>& folds) const;
   trie::SecureTrie install_folds_locked(std::vector<StorageFold>& folds) const;
 
-  std::unordered_map<Address, AccountData> accounts_;
+  using AccountMap = CowMap<Address, AccountData, 1024>;
+  using CommitMemo = CowMap<Address, AccountCommit, 1024>;
 
-  // Copy-on-write ownership token for this state's storage shards (see
-  // slot_map.hpp).  Redrawn on both sides of every copy and on the source
-  // of every move.  Mutable because copying a const source redraws the
-  // source's token too; copies do that under commit_mu_, and writes (the
-  // only readers) never race with copies by contract.
-  mutable std::uint64_t epoch_ = SlotMap::fresh_epoch();
+  AccountMap accounts_;
+
+  // Copy-on-write ownership token for this state's account, storage and
+  // memo shards (see slot_map.hpp).  Redrawn on both sides of every copy,
+  // on the source of every move, and whenever a handoff shares the memo.
+  // Mutable because sharing from a const source redraws the source's token
+  // too; that happens under commit_mu_, and writes (the only other users)
+  // never race with copies or root queries by contract.
+  mutable std::uint64_t epoch_ = fresh_cow_epoch();
+
+  // Number of writes this object took (never copied): a handoff cell is
+  // valid only if its source's count did not move after the copy.
+  std::uint64_t writes_ = 0;
 
   // Incremental commitment state.  Mutable so const root queries may run
   // concurrently (e.g. on the commit pool) while still updating the memos.
@@ -193,8 +238,13 @@ class WorldState {
   mutable std::mutex root_mu_;
   mutable std::mutex commit_mu_;
   mutable trie::SecureTrie account_trie_;
-  mutable std::unordered_map<Address, AccountCommit> commit_;
-  mutable std::unordered_map<Address, std::unordered_set<U256>> dirty_;
+  mutable CommitMemo commit_;
+  mutable DirtySet dirty_;
+  // The source's unfolded writes at copy time; dropped when handoff_in_ is
+  // adopted, folded like dirty_ when it cannot be.
+  mutable DirtySet inherited_;
+  mutable std::shared_ptr<Handoff> handoff_in_;   // the cell this adopts
+  mutable std::shared_ptr<Handoff> handoff_out_;  // the cell this fills
   mutable Hash256 root_memo_;
   mutable bool root_valid_ = false;
   mutable CommitStats stats_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <random>
 #include <unordered_map>
 #include <unordered_set>
@@ -325,16 +326,17 @@ TEST(IncrementalRoot, ZeroStorageWriteErases) {
 
   ws.set(StateKey::storage(addr_of(5), U256{2}), U256{});
   EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild());
+  ASSERT_NE(ws.find_account(addr_of(5)), nullptr);
   EXPECT_EQ(ws.storage_root(addr_of(5)),
-            state::storage_root_of(ws.accounts().at(addr_of(5)).storage));
+            state::storage_root_of(ws.find_account(addr_of(5))->storage));
   // The slot map never stores a zero: the erased slot is gone, and an
   // account whose storage is all zero is empty and pruned.
-  EXPECT_EQ(ws.accounts().at(addr_of(5)).storage.size(), 1u);
+  EXPECT_EQ(ws.find_account(addr_of(5))->storage.size(), 1u);
   ws.set(StateKey::storage(addr_of(5), U256{1}), U256{});
   ws.set(StateKey::storage(addr_of(5), U256{3}), U256{});  // absent slot
   ws.set(StateKey::balance(addr_of(5)), U256{});
-  EXPECT_TRUE(ws.accounts().at(addr_of(5)).storage.empty());
-  EXPECT_TRUE(ws.accounts().at(addr_of(5)).empty_account());
+  EXPECT_TRUE(ws.find_account(addr_of(5))->storage.empty());
+  EXPECT_TRUE(ws.find_account(addr_of(5))->empty_account());
   EXPECT_EQ(ws.state_root(), WorldState{}.state_root());
   EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild());
 }
@@ -577,6 +579,145 @@ TEST(ForkedCopies, DifferentialFuzzAgainstOracle) {
   // Both fold kinds engaged: fresh-account builds and per-slot updates.
   EXPECT_GT(builds, 0u);
   EXPECT_GT(slot_updates, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Commitment handoff: a copy of an unsealed state adopts its source's fold
+
+// Writes over a small address space: balances, nonces, slots (some zero),
+// and now and then an account drained to empty.
+void handoff_writes(Xoshiro256& rng, WorldState& ws, int count) {
+  for (int i = 0; i < count; ++i) {
+    const Address addr = addr_of(1 + rng() % 24);
+    switch (rng() % 7) {
+      case 0:
+        ws.set(StateKey::balance(addr), U256{1 + rng() % 500});
+        break;
+      case 1:
+        ws.set(StateKey::nonce(addr), U256{rng() % 32});
+        break;
+      case 2:
+        ws.set(StateKey::balance(addr), U256{});
+        ws.set(StateKey::nonce(addr), U256{});
+        break;
+      default: {
+        const U256 val = (rng() % 5 == 0) ? U256{} : U256{1 + rng() % 9'999};
+        ws.set(StateKey::storage(addr, U256{rng() % 40}), val);
+      }
+    }
+  }
+}
+
+// A committed base with storage in most accounts.
+WorldState handoff_base(Xoshiro256& rng) {
+  WorldState base;
+  handoff_writes(rng, base, 400);
+  (void)base.state_root();
+  return base;
+}
+
+std::uint64_t adopted(const WorldState& ws) {
+  return ws.commit_stats().handoffs_adopted;
+}
+
+TEST(CommitHandoff, ChainsOfUnsealedChildrenAdoptInOrder) {
+  // Chains of depth 1..3: each child is copied from its parent before the
+  // parent roots, then the chain roots parent-first.  Every child adopts
+  // its parent's fold (entries the parent adopted included) and lands on
+  // the oracle.
+  for (int depth = 1; depth <= 3; ++depth) {
+    Xoshiro256 rng(0xC4A1 + depth);
+    std::vector<std::unique_ptr<WorldState>> chain;
+    chain.push_back(std::make_unique<WorldState>(handoff_base(rng)));
+    handoff_writes(rng, *chain.back(), 30);
+    for (int d = 0; d < depth; ++d) {
+      chain.push_back(std::make_unique<WorldState>(*chain.back()));
+      handoff_writes(rng, *chain.back(), 30);
+    }
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      EXPECT_EQ(chain[i]->state_root(), chain[i]->state_root_full_rebuild())
+          << "depth " << depth << " link " << i;
+      // Each copy was taken before its source adopted anything itself.
+      if (i > 0) EXPECT_EQ(adopted(*chain[i]), 1u);
+    }
+  }
+}
+
+TEST(CommitHandoff, ChildRootedBeforeParentFallsBack) {
+  Xoshiro256 rng(0xFA11);
+  WorldState parent = handoff_base(rng);
+  handoff_writes(rng, parent, 40);
+  WorldState child = parent;
+  handoff_writes(rng, child, 40);
+  WorldState grandchild = child;
+  handoff_writes(rng, grandchild, 40);
+
+  // Grandchild first, then child: neither source has folded yet.
+  EXPECT_EQ(grandchild.state_root(), grandchild.state_root_full_rebuild());
+  EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
+  EXPECT_EQ(parent.state_root(), parent.state_root_full_rebuild());
+  EXPECT_EQ(adopted(grandchild), 0u);
+  EXPECT_EQ(adopted(child), 0u);
+}
+
+TEST(CommitHandoff, ParentWrittenAfterCopyFallsBack) {
+  Xoshiro256 rng(0xA77E);
+  WorldState parent = handoff_base(rng);
+  handoff_writes(rng, parent, 40);
+  WorldState child = parent;
+  handoff_writes(rng, child, 20);
+  // A write to a slot and one to an account body the child inherited
+  // unfolded: the parent's fold no longer matches what the child copied.
+  parent.set(StateKey::storage(addr_of(3), U256{7}), U256{4242});
+  parent.set(StateKey::balance(addr_of(4)), U256{77});
+
+  EXPECT_EQ(parent.state_root(), parent.state_root_full_rebuild());
+  EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
+  EXPECT_EQ(adopted(child), 0u);
+  EXPECT_NE(child.get(StateKey::storage(addr_of(3), U256{7})), U256{4242});
+}
+
+TEST(CommitHandoff, SiblingsShareOneParentFold) {
+  Xoshiro256 rng(0x51B5);
+  WorldState parent = handoff_base(rng);
+  handoff_writes(rng, parent, 40);
+  WorldState left = parent;
+  WorldState right = parent;
+  WorldState idle = parent;  // no writes of its own
+  handoff_writes(rng, left, 25);
+  handoff_writes(rng, right, 25);
+
+  const Hash256 parent_root = parent.state_root();
+  EXPECT_EQ(parent_root, parent.state_root_full_rebuild());
+  for (WorldState* sibling : {&left, &right, &idle}) {
+    EXPECT_EQ(sibling->state_root(), sibling->state_root_full_rebuild());
+    EXPECT_EQ(adopted(*sibling), adopted(parent) + 1);
+  }
+  EXPECT_EQ(idle.state_root(), parent_root);
+  // The siblings' folds stay private: the parent still roots to its own.
+  EXPECT_EQ(parent.state_root(), parent_root);
+}
+
+TEST(CommitHandoff, PrunedInParentResurrectedInChild) {
+  WorldState base;
+  base.set(StateKey::balance(addr_of(9)), U256{5});
+  base.set(StateKey::storage(addr_of(9), U256{1}), U256{11});
+  base.set(StateKey::storage(addr_of(9), U256{2}), U256{22});
+  base.set(StateKey::balance(addr_of(10)), U256{1});
+  (void)base.state_root();
+
+  WorldState parent = base;
+  parent.set(StateKey::balance(addr_of(9)), U256{});
+  parent.set(StateKey::storage(addr_of(9), U256{1}), U256{});
+  parent.set(StateKey::storage(addr_of(9), U256{2}), U256{});  // now empty
+  WorldState child = parent;
+  child.set(StateKey::storage(addr_of(9), U256{3}), U256{33});  // resurrect
+
+  EXPECT_EQ(parent.state_root(), parent.state_root_full_rebuild());
+  EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
+  EXPECT_EQ(adopted(child), adopted(parent) + 1);
+  EXPECT_EQ(child.storage_root(addr_of(9)),
+            state::storage_root_of(child.find_account(addr_of(9))->storage));
 }
 
 // ---------------------------------------------------------------------------

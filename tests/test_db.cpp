@@ -9,7 +9,9 @@
 //     InMemoryNodeStore lineage, and a PagedNodeStore lineage stay
 //     bit-identical at every root — including across a crash + recovery +
 //     replay restart at block 256;
-//   * compaction preserves every live node and reclaims dead bytes;
+//   * compaction preserves every live node and reclaims dead bytes, keeps
+//     puts racing its off-lock scan, copies jumbo records from that scan,
+//     and leaves the old file in place when a sealed page is damaged;
 //   * chain-level parity: a chain running on the paged store (with a
 //     restart mid-run) commits the same roots and the same abort decisions
 //     as a store-less chain;
@@ -19,6 +21,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -125,18 +128,16 @@ TEST(PageFile, RoundTripsOrdinaryAndJumboRecords) {
   // Reopen trusting the whole file and re-verify through scan.
   file.reset();
   ASSERT_TRUE(PageFile::open(path, opts, UINT64_MAX, file).ok());
+  PageFile::Image image;
+  ASSERT_TRUE(file->scan(0, file->sealed_pages(), image).ok());
+  ASSERT_EQ(image.records.size(), written.size());
   std::size_t seen = 0;
-  ASSERT_TRUE(file
-                  ->scan([&](const PageRef& ref,
-                             std::span<const std::uint8_t> rec) -> Status {
-                    EXPECT_EQ(written[seen].first, ref);
-                    EXPECT_TRUE(std::equal(rec.begin(), rec.end(),
-                                           written[seen].second.begin(),
-                                           written[seen].second.end()));
-                    ++seen;
-                    return Status::Ok();
-                  })
-                  .ok());
+  for (const auto& [ref, rec] : image.records) {
+    EXPECT_EQ(written[seen].first, ref);
+    EXPECT_TRUE(std::equal(rec.begin(), rec.end(), written[seen].second.begin(),
+                           written[seen].second.end()));
+    ++seen;
+  }
   EXPECT_EQ(seen, written.size());
 }
 
@@ -536,6 +537,190 @@ TEST(PagedNodeStore, MaybeCompactDecidesFromItsOwnWalk) {
   EXPECT_GE(store->live_ratio(), 0.5);
   trie::NodeCache::global().clear();
   EXPECT_EQ(MerklePatriciaTrie::from_root(root, *store).root_hash(), root);
+}
+
+// Every key of `expect` reads back through a trie loaded from `root`.
+::testing::AssertionResult reloads(const db::NodeStore& store,
+                                   const MerklePatriciaTrie& expect) {
+  trie::NodeCache::global().clear();
+  const MerklePatriciaTrie reloaded =
+      MerklePatriciaTrie::from_root(expect.root_hash(), store);
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    std::uint8_t key[8];
+    std::memcpy(key, &k, sizeof(k));
+    const std::span<const std::uint8_t> kspan(key, sizeof(key));
+    if (reloaded.get(kspan) != expect.get(kspan))
+      return ::testing::AssertionFailure() << "key " << k << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(PagedNodeStore, SweepKeepsPutsRacingItsScan) {
+  // The sweep snapshots the sealed prefix and walks it off the lock.  A
+  // version persisted but not committed sits in the partial page at the
+  // snapshot; versions persisted while the sweep runs land in that page
+  // and in pages sealed after the snapshot.  Every one of them must
+  // survive whole, and the compacted store must reopen at its durable root.
+  // The racing versions also restore values of a long-dead version: the
+  // persist walk finds those leaves already stored and skips them, so the
+  // sweep must keep them for the racing parents that reference them.
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 512;
+  opts.retained_roots = 4;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  MerklePatriciaTrie t;
+  (void)write_overwrite_history(t, *store);
+
+  Xoshiro256 rng(0x5CA7);
+  const auto key_of = [](std::uint64_t k) {
+    std::array<std::uint8_t, 8> key;
+    std::memcpy(key.data(), &k, sizeof(k));
+    return key;
+  };
+  const auto next_version = [&](int writes) {
+    for (int i = 0; i < writes; ++i) {
+      const auto key = key_of(rng.below(64));
+      const Bytes value = random_bytes(rng, 40);
+      t.put(std::span(key), std::span(value));
+    }
+    t.persist_nodes(*store);
+    return t;
+  };
+  // A version whose every leaf dies: 8 committed versions rewrite all 64
+  // keys, which also ages its puts out of the young horizon.
+  const MerklePatriciaTrie dead = t;
+  std::uint64_t height = 1000;
+  for (int v = 0; v < 8; ++v) {
+    for (std::uint64_t k = 0; k < 64; ++k) {
+      const auto key = key_of(k);
+      const Bytes value = random_bytes(rng, 40);
+      t.put(std::span(key), std::span(value));
+    }
+    t.persist_nodes(*store);
+    ASSERT_TRUE(store->commit_root(t.root_hash(), ++height).ok());
+  }
+  std::vector<MerklePatriciaTrie> versions{next_version(8)};  // partial page
+  ASSERT_GT(store->stats().file_bytes, 0u);
+
+  std::atomic<bool> done{false};
+  Status swept;
+  {
+    std::jthread sweeper([&] {
+      swept = store->compact();
+      done.store(true);
+    });
+    do {
+      for (int i = 0; i < 4; ++i) {
+        const auto key = key_of(rng.below(64));
+        const Bytes old_value = *dead.get(std::span(key));
+        t.put(std::span(key), std::span(old_value));
+      }
+      versions.push_back(next_version(4));
+      if (versions.size() % 3 == 0) {
+        ASSERT_TRUE(store->commit_root(t.root_hash(), ++height).ok());
+      }
+    } while (!done.load());
+  }
+  ASSERT_TRUE(swept.ok()) << swept.message;
+  EXPECT_EQ(store->stats().compactions, 1u);
+  for (const MerklePatriciaTrie& v : versions)
+    EXPECT_TRUE(reloads(*store, v));
+  ASSERT_TRUE(store->verify_all_pages().ok());
+
+  ASSERT_TRUE(store->commit_root(t.root_hash(), ++height).ok());
+  store.reset();
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  EXPECT_EQ(store->durable_root(), t.root_hash());
+  EXPECT_EQ(store->durable_height(), height);
+  EXPECT_TRUE(reloads(*store, t));
+}
+
+TEST(PagedNodeStore, SweepOverCorruptSealedPageKeepsOldFile) {
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 512;
+  opts.retained_roots = 4;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  MerklePatriciaTrie t;
+  const Hash256 root = write_overwrite_history(t, *store);
+  const std::uint64_t seq = store->file_seq();
+  const std::string path = store->data_file_path();
+  const auto before = store->stats();
+
+  // Damage a sealed page the scan reads whether or not it holds live nodes.
+  flip_byte(path, static_cast<off_t>(opts.page_size) * 2 + 40);
+  const Status st = store->compact();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code, ErrorCode::kCorruptPage) << st.message;
+  EXPECT_EQ(store->file_seq(), seq);
+  EXPECT_EQ(store->data_file_path(), path);
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_EQ(store->stats().compactions, 0u);
+  EXPECT_EQ(store->stats().file_bytes, before.file_bytes);
+  EXPECT_EQ(store->durable_root(), root);
+  std::size_t data_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path))
+    data_files += entry.path().filename().string().rfind("nodes.", 0) == 0;
+  EXPECT_EQ(data_files, 1u);  // the half-built new file is gone
+  // The store stays usable, and a later sweep is not blocked.
+  Bytes enc{0x01, 0x02};
+  EXPECT_TRUE(store->put(hash_from(7), std::span(enc)).ok());
+  EXPECT_EQ(store->compact().code, ErrorCode::kCorruptPage);
+}
+
+TEST(PagedNodeStore, SweepCopiesJumboRecordsFromItsScan) {
+  // Nodes longer than a page reach the sweep as reassembled spans.  Once
+  // they have aged out of the young-put horizon they survive only through
+  // the root that references them, and the copy takes their bytes from the
+  // scan: the sweep issues no get() at all when everything is sealed.
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 256;
+  opts.retained_roots = 2;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+
+  Xoshiro256 rng(0x7A7B0);
+  std::vector<std::pair<Hash256, Bytes>> jumbo;
+  Bytes root_enc{0xf8, 0};  // RLP list of 32-byte strings, long-form header
+  for (int i = 0; i < 3; ++i) {
+    Bytes enc = random_bytes(rng, 700 + 300 * i);
+    const Hash256 h = Hash256::of(std::span(enc));
+    ASSERT_TRUE(store->put(h, std::span(enc)).ok());
+    root_enc.push_back(0xa0);
+    root_enc.insert(root_enc.end(), h.bytes.begin(), h.bytes.end());
+    jumbo.emplace_back(h, std::move(enc));
+  }
+  root_enc[1] = static_cast<std::uint8_t>(root_enc.size() - 2);
+  const Hash256 root = Hash256::of(std::span(root_enc));
+  ASSERT_TRUE(store->put(root, std::span(root_enc)).ok());
+  // Dead weight, then enough commits of the same root to age every put out.
+  for (int i = 0; i < 40; ++i) {
+    Bytes junk = random_bytes(rng, i % 5 == 0 ? 600 : 60);
+    ASSERT_TRUE(store->put(hash_from(rng()), std::span(junk)).ok());
+  }
+  for (std::uint64_t h = 1; h <= 3 * opts.retained_roots; ++h)
+    ASSERT_TRUE(store->commit_root(root, h).ok());
+
+  const std::uint64_t gets = store->stats().gets;
+  ASSERT_TRUE(store->compact().ok());
+  EXPECT_EQ(store->stats().gets, gets);
+  EXPECT_EQ(store->node_count(), jumbo.size() + 1);
+  const auto check = [&] {
+    std::vector<std::uint8_t> out;
+    for (const auto& [h, enc] : jumbo) {
+      ASSERT_TRUE(store->get(h, out).ok());
+      EXPECT_EQ(out, enc);
+    }
+  };
+  check();
+  store.reset();
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  EXPECT_EQ(store->durable_root(), root);
+  check();
 }
 
 // ------------------------------------------------------- chain-level parity

@@ -3,7 +3,8 @@
 // the tsan-commit preset picks them up): the interesting assertions here
 // are the ones ThreadSanitizer makes — copies taken while commits are in
 // flight, concurrent rooters and forks sharing persistent tries, copies
-// writing into copy-on-write storage shards their source is hashing, and
+// writing into copy-on-write storage shards their source is hashing,
+// children adopting the fold of a parent that is still hashing, and
 // producer/consumer hammering of ThreadPool / MpmcQueue.
 #include <gtest/gtest.h>
 
@@ -219,6 +220,48 @@ TEST(StressWorldState, CopyWritesWhileSourceHashesAndSharerDies) {
     EXPECT_EQ(src.state_root_full_rebuild(), expect) << "round " << round;
     EXPECT_EQ(src.state_root(), expect) << "round " << round;
   }
+}
+
+TEST(StressWorldState, ChildRootsWhileParentHashes) {
+  // The commitment handoff under contention: a chain of unsealed states,
+  // each copied from the last before it roots, with the parent hashing on
+  // one thread while its child (and a copy of the child, taken mid-hash)
+  // root on others.  Whichever side wins — the child adopts the parent's
+  // fold or folds the inherited writes itself — every root must match its
+  // oracle, and the cell's fill and adoption must not race.
+  Xoshiro256 rng(0x4A4D);
+  auto parent = std::make_unique<WorldState>();
+  random_writes(rng, *parent, 256);
+  (void)parent->state_root();
+  const int rounds = kSanitized ? 12 : 48;
+  for (int round = 0; round < rounds; ++round) {
+    random_writes(rng, *parent, 48);
+    auto child = std::make_unique<WorldState>(*parent);
+    random_writes(rng, *child, 48);
+    const Hash256 parent_oracle = parent->state_root_full_rebuild();
+    const Hash256 child_oracle = child->state_root_full_rebuild();
+    Hash256 parent_root, child_root, grandchild_root;
+    std::unique_ptr<WorldState> grandchild;
+    {
+      std::latch go(2);
+      std::jthread hasher([&] {
+        go.arrive_and_wait();
+        parent_root = parent->state_root();
+      });
+      std::jthread rooter([&] {
+        go.arrive_and_wait();
+        if (round % 2) std::this_thread::yield();
+        grandchild = std::make_unique<WorldState>(*child);
+        child_root = child->state_root();
+        grandchild_root = grandchild->state_root();
+      });
+    }
+    EXPECT_EQ(parent_root, parent_oracle) << "round " << round;
+    EXPECT_EQ(child_root, child_oracle) << "round " << round;
+    EXPECT_EQ(grandchild_root, child_oracle) << "round " << round;
+    parent = std::move(child);
+  }
+  EXPECT_EQ(parent->state_root(), parent->state_root_full_rebuild());
 }
 
 TEST(StressWorldState, CommitPipelineOverlapsCopiesAndSubmissions) {
