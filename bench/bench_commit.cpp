@@ -50,7 +50,6 @@
 #include "commit/commit_pipeline.hpp"
 #include "db/paged_node_store.hpp"
 #include "support/stopwatch.hpp"
-#include "trie/node_cache.hpp"
 
 namespace blockpilot::bench {
 namespace {
@@ -166,7 +165,7 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
   *tail_out = tail.elapsed_ms();
   *wall_out = wall.elapsed_ms();
   // What the blocks alone hold: the heap they give back when dropped (the
-  // shared node cache and genesis stay put across the two readings).
+  // shared genesis stays put across the two readings).
   const std::size_t with_blocks = heap_in_use();
   blocks.clear();
   *retained_out = (static_cast<double>(with_blocks) -
@@ -318,12 +317,8 @@ void run() {
   print_header("State commitment: incremental MPT + async commit pipeline",
                "root check moves off the critical path (§5.2 overlap)");
 
-  trie::NodeCache::global().clear();
-  trie::NodeCache::global().reset_stats();
-
   double mismatches = 0;
   const std::vector<RootSample> roots = run_root_recompute(&mismatches);
-  const trie::NodeCache::Stats cache = trie::NodeCache::global().stats();
 
   double incr_total = 0, full_total = 0;
   std::printf("%8s %6s %16s %16s %10s\n", "height", "txs", "incremental-ms",
@@ -341,10 +336,6 @@ void run() {
   std::printf("root recompute: %.3f ms incremental vs %.3f ms full "
               "(%.1fx), oracle mismatches: %.0f\n",
               incr_total, full_total, speedup, mismatches);
-  std::printf("node cache: %" PRIu64 " hits / %" PRIu64 " misses / %" PRIu64
-              " evictions, %zu entries, %zu / %zu bytes (CLOCK)\n",
-              cache.hits, cache.misses, cache.evictions, cache.entries,
-              cache.bytes, cache.capacity);
 
   // Overlap experiment: inline sealing vs commit-pipeline sealing.
   double serial_wall = 0, serial_tail = 0, serial_retained = 0;
@@ -473,13 +464,6 @@ void run() {
   std::fprintf(f, "    \"full_rebuild_total_ms\": %.4f,\n", full_total);
   std::fprintf(f, "    \"speedup\": %.2f,\n", speedup);
   std::fprintf(f, "    \"oracle_mismatches\": %.0f\n  },\n", mismatches);
-  std::fprintf(f,
-               "  \"node_cache\": {\"policy\": \"clock\", \"hits\": %" PRIu64
-               ", \"misses\": %" PRIu64 ", \"evictions\": %" PRIu64
-               ", \"entries\": %zu, \"bytes\": %zu, \"capacity_bytes\": "
-               "%zu},\n",
-               cache.hits, cache.misses, cache.evictions, cache.entries,
-               cache.bytes, cache.capacity);
   std::fprintf(f, "  \"overlap\": {\n    \"phases\": [\n");
   for (std::size_t h = 0; h < overlapped.size(); ++h) {
     std::fprintf(f,

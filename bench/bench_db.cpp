@@ -178,8 +178,8 @@ ColdWarm run_cold_warm(const BenchState& bs) {
     const auto after = cache.stats();
     if (rep == 0 || cold < out.cold_ms) out.cold_ms = cold;
     if (rep == 0 || warm < out.warm_ms) out.warm_ms = warm;
-    const std::uint64_t hits = after.load_hits - before.load_hits;
-    const std::uint64_t misses = after.load_misses - before.load_misses;
+    const std::uint64_t hits = after.hits - before.hits;
+    const std::uint64_t misses = after.misses - before.misses;
     out.warm_loads = hits + misses;
     out.hit_rate = out.warm_loads > 0
                        ? static_cast<double>(hits) /
@@ -209,9 +209,8 @@ std::vector<SweepPoint> run_sweep(const BenchState& bs) {
     const auto before = cache.stats();
     p.warm_ms = run_read_passes(bs);
     const auto after = cache.stats();
-    const std::uint64_t hits = after.load_hits - before.load_hits;
-    const std::uint64_t loads =
-        hits + (after.load_misses - before.load_misses);
+    const std::uint64_t hits = after.hits - before.hits;
+    const std::uint64_t loads = hits + (after.misses - before.misses);
     p.hit_rate = loads > 0
                      ? static_cast<double>(hits) / static_cast<double>(loads)
                      : 0.0;

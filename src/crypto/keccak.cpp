@@ -16,38 +16,59 @@ constexpr std::array<std::uint64_t, 24> kRoundConstants = {
     0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
 };
 
-constexpr std::array<int, 25> kRotations = {
-    0,  1,  62, 28, 27,  //
-    36, 44, 6,  55, 20,  //
-    3,  10, 43, 25, 39,  //
-    41, 45, 15, 21, 8,   //
-    18, 2,  61, 56, 14,
+// rho + pi as one walk over the lanes: lane kPiLanes[i] receives the
+// previous lane of the walk, rotated by kRhoOffsets[i].  The walk starts at
+// lane 1 and visits the other 23 non-zero lanes once (lane 0 is fixed).
+constexpr std::array<int, 24> kRhoOffsets = {
+    1,  3,  6,  10, 15, 21, 28, 36, 45, 55, 2,  14,
+    27, 41, 56, 8,  25, 43, 62, 18, 39, 61, 20, 44,
+};
+constexpr std::array<int, 24> kPiLanes = {
+    10, 7,  11, 17, 18, 3, 5,  16, 8,  21, 24, 4,
+    15, 23, 19, 13, 12, 2, 20, 14, 22, 9,  6,  1,
 };
 
 constexpr std::uint64_t rotl64(std::uint64_t x, int k) noexcept {
-  return k == 0 ? x : (x << k) | (x >> (64 - k));
+  return (x << k) | (x >> (64 - k));
 }
 
+// Every inner loop has a constant trip count and is unrolled, so lane
+// indexes are compile-time constants and the state stays in registers.
+// Row and column neighbours come from arrays holding each row twice, not
+// from a runtime `% 5`.
 void keccak_f1600(std::array<std::uint64_t, 25>& a) noexcept {
   for (int round = 0; round < 24; ++round) {
     // theta
-    std::uint64_t c[5];
-    for (int x = 0; x < 5; ++x)
-      c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
+    std::uint64_t c[10];
+#pragma GCC unroll 5
     for (int x = 0; x < 5; ++x) {
-      const std::uint64_t d = c[(x + 4) % 5] ^ rotl64(c[(x + 1) % 5], 1);
+      c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
+      c[x + 5] = c[x];
+    }
+#pragma GCC unroll 5
+    for (int x = 0; x < 5; ++x) {
+      const std::uint64_t d = c[x + 4] ^ rotl64(c[x + 1], 1);
+#pragma GCC unroll 5
       for (int y = 0; y < 25; y += 5) a[x + y] ^= d;
     }
     // rho + pi
-    std::uint64_t b[25];
-    for (int x = 0; x < 5; ++x)
-      for (int y = 0; y < 5; ++y)
-        b[y + 5 * ((2 * x + 3 * y) % 5)] = rotl64(a[x + 5 * y],
-                                                  kRotations[x + 5 * y]);
+    std::uint64_t carry = a[1];
+#pragma GCC unroll 24
+    for (int i = 0; i < 24; ++i) {
+      const int lane = kPiLanes[i];
+      const std::uint64_t next = a[lane];
+      a[lane] = rotl64(carry, kRhoOffsets[i]);
+      carry = next;
+    }
     // chi
-    for (int y = 0; y < 25; y += 5)
-      for (int x = 0; x < 5; ++x)
-        a[y + x] = b[y + x] ^ (~b[y + (x + 1) % 5] & b[y + (x + 2) % 5]);
+#pragma GCC unroll 5
+    for (int y = 0; y < 25; y += 5) {
+      std::uint64_t row[10];
+#pragma GCC unroll 5
+      for (int x = 0; x < 5; ++x) row[x] = row[x + 5] = a[y + x];
+#pragma GCC unroll 5
+      for (int x = 0; x < 5; ++x) a[y + x] = row[x] ^ (~row[x + 1] & row[x + 2]);
+    }
     // iota
     a[0] ^= kRoundConstants[round];
   }

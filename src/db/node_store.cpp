@@ -78,26 +78,4 @@ std::future<ReadResult> AsyncReader::issue(const Hash256& hash) {
   return fut;
 }
 
-std::size_t AsyncReader::warm(
-    std::span<const Hash256> hashes,
-    std::function<void(std::span<const std::uint8_t>)> warm) {
-  std::size_t issued = 0;
-  auto warm_shared =
-      std::make_shared<std::function<void(std::span<const std::uint8_t>)>>(
-          std::move(warm));
-  for (const Hash256& h : hashes) {
-    auto fetch = [this, h, warm_shared] {
-      std::vector<std::uint8_t> enc;
-      if (store_.get(h, enc).ok())
-        (*warm_shared)(std::span<const std::uint8_t>(enc));
-    };
-    if (pool_ == nullptr)
-      fetch();
-    else
-      pool_->submit(std::move(fetch));
-    ++issued;
-  }
-  return issued;
-}
-
 }  // namespace blockpilot::db

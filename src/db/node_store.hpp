@@ -117,12 +117,6 @@ class AsyncReader {
   /// is actually needed.
   std::future<ReadResult> issue(const Hash256& hash);
 
-  /// Fire-and-forget warm-up: fetches every hash and feeds each encoding
-  /// to `warm` (e.g. NodeCache interning) on the pool.  Returns the number
-  /// of fetches issued; wait_idle() on the pool to rendezvous.
-  std::size_t warm(std::span<const Hash256> hashes,
-                   std::function<void(std::span<const std::uint8_t>)> warm);
-
  private:
   const NodeStore& store_;
   ThreadPool* pool_;

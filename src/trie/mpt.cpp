@@ -337,8 +337,8 @@ const Bytes& node_ref(const MptNode* node) {
     if (encoded.size() < 32) {
       node->cached_ref = std::move(encoded);
     } else {
-      const Hash256 digest = NodeCache::global().hash_of(std::span(encoded));
-      node->cached_ref.assign(digest.bytes.begin(), digest.bytes.end());
+      const crypto::Digest digest = crypto::keccak256(std::span(encoded));
+      node->cached_ref.assign(digest.begin(), digest.end());
     }
     node->ref_ready.store(true, std::memory_order_release);
   }
@@ -423,20 +423,17 @@ void load_stub(const MptNode* node) {
     Hash256 h;
     std::memcpy(h.bytes.data(), node->cached_ref.data(), 32);
     // Read-through the global NodeCache: a hit skips the store entirely; a
-    // miss fetches, then interns (hash_of) which also verifies integrity.
+    // miss fetches, verifies the record against its hash, then caches it.
     auto& cache = NodeCache::global();
     Bytes enc;
-    if (auto cached = cache.encoding_of(h); cached.has_value()) {
-      cache.count_load_hit();
+    if (auto cached = cache.get(h); cached.has_value()) {
       enc = std::move(*cached);
     } else {
-      cache.count_load_miss();
-      std::vector<std::uint8_t> fetched;
-      const db::Status st = node->store->get(h, fetched);
+      const db::Status st = node->store->get(h, enc);
       BP_ASSERT_MSG(st.ok(), "node store lost a node the trie references");
-      const Hash256 check = cache.hash_of(std::span(fetched));
-      BP_ASSERT_MSG(check == h, "stored encoding does not hash to its ref");
-      enc = std::move(fetched);
+      BP_ASSERT_MSG(Hash256{crypto::keccak256(std::span(enc))} == h,
+                    "stored encoding does not hash to its ref");
+      cache.put(h, std::span(enc));
     }
     auto* mut = const_cast<MptNode*>(node);
     fill_from_item(*mut, rlp::decode(std::span(enc)), node->store);

@@ -1,189 +1,71 @@
 #include "trie/node_cache.hpp"
 
-#include <algorithm>
-#include <cstring>
-
-#include "crypto/keccak.hpp"
-
 namespace blockpilot::trie {
 
 NodeCache::NodeCache(std::size_t capacity_bytes)
     : shard_capacity_((capacity_bytes + kShards - 1) / kShards) {}
 
-namespace {
-
-// splitmix64 finalizer: derives the sketch's 4 counter indexes from one
-// fingerprint without storing 4 hashes.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-void NodeCache::FreqSketch::record(std::uint64_t fp) noexcept {
-  std::uint64_t h = fp;
-  for (int i = 0; i < 4; ++i) {
-    h = mix64(h);
-    std::uint8_t& c = counters[h & (kCounters - 1)];
-    if (c < kMaxCount) ++c;
+// One CLOCK step: a referenced entry under the hand gets its second chance
+// (bit cleared, hand advances); an unreferenced one is evicted.
+bool NodeCache::step_hand(Shard& s) {
+  if (s.hand == s.ring.end()) s.hand = s.ring.begin();
+  MapNode* node = *s.hand;
+  if (node->second.referenced) {
+    node->second.referenced = false;
+    ++s.hand;
+    return false;
   }
-  if (++samples >= kSamplePeriod) {
-    // Aging: halve every counter so popularity is recent, not eternal.
-    for (std::uint8_t& c : counters) c >>= 1;
-    samples >>= 1;
-  }
-}
-
-std::uint32_t NodeCache::FreqSketch::estimate(std::uint64_t fp) const noexcept {
-  std::uint32_t est = kMaxCount;
-  std::uint64_t h = fp;
-  for (int i = 0; i < 4; ++i) {
-    h = mix64(h);
-    est = std::min<std::uint32_t>(est, counters[h & (kCounters - 1)]);
-  }
-  return est;
-}
-
-void NodeCache::FreqSketch::reset() noexcept {
-  counters.fill(0);
-  samples = 0;
-}
-
-NodeCache::Shard& NodeCache::shard_for(
-    std::span<const std::uint8_t> encoding) {
-  // Cheap stable shard choice: FNV over a prefix is enough to spread nodes.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::size_t probe = encoding.size() < 16 ? encoding.size() : 16;
-  for (std::size_t i = 0; i < probe; ++i) {
-    h ^= encoding[i];
-    h *= 0x100000001b3ULL;
-  }
-  h ^= encoding.size();
-  return shards_[h % kShards];
-}
-
-// CLOCK sweep to the next victim.  Referenced entries get their second
-// chance (bit cleared, hand advances); the sweep stops at the first
-// unreferenced entry.  Terminates in at most two passes over the ring
-// because every skip clears a bit.  Precondition: the ring is non-empty.
-NodeCache::MapNode* NodeCache::clock_victim(Shard& s) {
-  for (;;) {
-    if (s.hand == s.ring.end()) s.hand = s.ring.begin();
-    MapNode* node = *s.hand;
-    if (node->second.referenced) {
-      node->second.referenced = false;
-      ++s.hand;
-      continue;
-    }
-    return node;
-  }
-}
-
-// One CLOCK sweep step ending in an eviction of the current victim.
-void NodeCache::evict_one(Shard& s) {
-  MapNode* node = clock_victim(s);
-  s.bytes -= entry_bytes(node->first.size());
-  const auto rit = s.by_hash.find(node->second.hash);
-  if (rit != s.by_hash.end() && rit->second == node) s.by_hash.erase(rit);
+  s.bytes -= entry_bytes(node->second.encoding.size());
   s.hand = s.ring.erase(s.hand);
-  const auto mit = s.by_encoding.find(node->first);
-  s.by_encoding.erase(mit);
+  s.entries.erase(s.entries.find(node->first));
   ++s.evictions;
+  return true;
 }
 
-// Sketch fingerprint: FNV-1a over the whole encoding (the same function
-// BytesHash uses for the map, but computable from the span directly).
-static std::uint64_t fingerprint_of(
-    std::span<const std::uint8_t> encoding) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t byte : encoding) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-Hash256 NodeCache::hash_of(std::span<const std::uint8_t> encoding) {
-  const std::size_t cap = shard_capacity_.load(std::memory_order_relaxed);
-  if (cap == 0) {
-    bypassed_.fetch_add(1, std::memory_order_relaxed);
-    return Hash256{crypto::keccak256(encoding)};
-  }
-
-  Shard& s = shard_for(encoding);
-  Bytes key(encoding.begin(), encoding.end());
+std::optional<std::vector<std::uint8_t>> NodeCache::get(const Hash256& h) {
+  Shard& s = shard_for(h);
   std::scoped_lock lk(s.mu);
-  const auto it = s.by_encoding.find(key);
-  if (it != s.by_encoding.end()) {
-    ++s.hits;
-    it->second.referenced = true;  // second chance on the next sweep
-    s.sketch.record(it->second.fp);
-    return it->second.hash;
+  const auto it = s.entries.find(h);
+  if (it == s.entries.end()) {
+    ++s.misses;
+    return std::nullopt;
   }
-  ++s.misses;
-  const Hash256 digest{crypto::keccak256(encoding)};
-  const std::uint64_t fp = fingerprint_of(encoding);
-  s.sketch.record(fp);
-  const std::size_t need = entry_bytes(key.size());
-  if (need > cap) {  // jumbo entry: never worth a whole shard
-    bypassed_.fetch_add(1, std::memory_order_relaxed);
-    return digest;
-  }
-  if (s.bytes + need > cap && !s.ring.empty()) {
-    // TinyLFU admission: a full shard only trades its CLOCK victim for a
-    // candidate at least as frequent.  Ties admit, so a workload with no
-    // re-use (every estimate 1) degenerates to plain CLOCK/FIFO; one-shot
-    // scan traffic against a reheated working set is rejected here.
-    MapNode* victim = clock_victim(s);
-    if (s.sketch.estimate(fp) < s.sketch.estimate(victim->second.fp)) {
-      ++s.rejected;
-      return digest;
-    }
-  }
-  while (s.bytes + need > cap && !s.ring.empty()) evict_one(s);
-  const auto [slot, inserted] = s.by_encoding.emplace(
-      std::move(key), Entry{digest, /*referenced=*/false, fp});
-  if (inserted) {
-    MapNode* node = &*slot;
-    // Insert just behind the hand: the new entry is the last the current
-    // sweep cycle examines, so with no intervening hits the eviction order
-    // is exactly insertion order (FIFO with second chances).
-    s.ring.insert(s.hand, node);
-    s.by_hash[digest] = node;
-    s.bytes += need;
-  }
-  return digest;
+  ++s.hits;
+  it->second.referenced = true;  // second chance on the next sweep
+  return it->second.encoding;
 }
 
-std::optional<std::vector<std::uint8_t>> NodeCache::encoding_of(
-    const Hash256& h) {
-  for (Shard& s : shards_) {
-    std::scoped_lock lk(s.mu);
-    const auto it = s.by_hash.find(h);
-    if (it != s.by_hash.end()) {
-      it->second->second.referenced = true;  // CLOCK second chance
-      return it->second->first;
-    }
-  }
-  return std::nullopt;
+void NodeCache::put(const Hash256& h, std::span<const std::uint8_t> encoding) {
+  const std::size_t cap = shard_capacity_.load(std::memory_order_relaxed);
+  const std::size_t need = entry_bytes(encoding.size());
+  if (need > cap) return;  // capacity 0, or a jumbo entry: never worth a shard
+  Shard& s = shard_for(h);
+  std::scoped_lock lk(s.mu);
+  if (s.entries.contains(h)) return;
+  // Stop at the first referenced entry rather than sweeping past it: loads
+  // that outrun the budget (a cold traversal, a scan) must not cycle the
+  // re-used entries out.
+  while (s.bytes + need > cap && !s.ring.empty())
+    if (!step_hand(s)) return;
+  const auto slot =
+      s.entries.emplace(h, Entry{{encoding.begin(), encoding.end()}, false})
+          .first;
+  // Insert just behind the hand: the new entry is the last the current
+  // sweep cycle examines, so with no intervening hits the eviction order is
+  // exactly insertion order (FIFO with second chances).
+  s.ring.insert(s.hand, &*slot);
+  s.bytes += need;
 }
 
 NodeCache::Stats NodeCache::stats() const {
   Stats out;
-  out.capacity = shard_capacity_.load(std::memory_order_relaxed) * kShards;
-  out.bypassed = bypassed_.load(std::memory_order_relaxed);
-  out.load_hits = load_hits_.load(std::memory_order_relaxed);
-  out.load_misses = load_misses_.load(std::memory_order_relaxed);
+  out.capacity = capacity();
   for (const Shard& s : shards_) {
     std::scoped_lock lk(s.mu);
     out.hits += s.hits;
     out.misses += s.misses;
     out.evictions += s.evictions;
-    out.rejected += s.rejected;
-    out.entries += s.by_encoding.size();
+    out.entries += s.entries.size();
     out.bytes += s.bytes;
   }
   return out;
@@ -192,11 +74,9 @@ NodeCache::Stats NodeCache::stats() const {
 void NodeCache::clear() {
   for (Shard& s : shards_) {
     std::scoped_lock lk(s.mu);
-    s.by_encoding.clear();
-    s.by_hash.clear();
+    s.entries.clear();
     s.ring.clear();
     s.hand = s.ring.end();
-    s.sketch.reset();
     s.bytes = 0;
   }
 }
@@ -204,11 +84,8 @@ void NodeCache::clear() {
 void NodeCache::reset_stats() {
   for (Shard& s : shards_) {
     std::scoped_lock lk(s.mu);
-    s.hits = s.misses = s.evictions = s.rejected = 0;
+    s.hits = s.misses = s.evictions = 0;
   }
-  bypassed_.store(0, std::memory_order_relaxed);
-  load_hits_.store(0, std::memory_order_relaxed);
-  load_misses_.store(0, std::memory_order_relaxed);
 }
 
 void NodeCache::set_capacity(std::size_t capacity_bytes) {
@@ -216,7 +93,7 @@ void NodeCache::set_capacity(std::size_t capacity_bytes) {
   shard_capacity_.store(per_shard, std::memory_order_relaxed);
   for (Shard& s : shards_) {
     std::scoped_lock lk(s.mu);
-    while (s.bytes > per_shard && !s.ring.empty()) evict_one(s);
+    while (s.bytes > per_shard && !s.ring.empty()) step_hand(s);
   }
 }
 

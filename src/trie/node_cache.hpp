@@ -1,29 +1,24 @@
-// NodeCache: a bounded, hash-consed cache of MPT node encodings.
+// NodeCache: a bounded read cache of MPT node encodings, keyed by hash.
 //
-// State commitment spends most of its time keccak-hashing node encodings.
-// Distinct tries frequently contain bit-identical nodes — sibling blocks at
-// one height share almost the whole account trie, a from-scratch rebuild
-// re-creates every node of the incremental trie, and hot contracts repeat
-// storage-subtree shapes.  The cache interns `encoding -> keccak(encoding)`
-// so the second computation of any node hash is a map lookup instead of a
-// keccak permutation, and keeps the reverse `hash -> encoding` index so
-// tooling (proof debugging, the commit bench) can resolve a node by its
-// hash.
+// A trie reopened over a node store (MerklePatriciaTrie::from_root) starts
+// as one unloaded stub and loads each node from the store the first time a
+// traversal needs it.  Sibling blocks, replicas and restarts reopen the same
+// nodes again and again, so every stub load reads through this cache: a hit
+// skips the store, a miss fetches the record, checks that it hashes to the
+// reference, and only then puts it here.  Node hashing itself does not go
+// through the cache: each MptNode memoizes its own reference
+// (MptNode::cached_ref), and a node that is built once is hashed once.
 //
 // Capacity is accounted in *bytes* (encoding length plus a fixed per-entry
 // overhead), not entry counts, so a cache full of fat branch nodes and one
 // full of slim leaves bound the same memory.  Eviction is CLOCK
-// (second-chance): a hit sets the entry's reference bit; the sweep hand
-// clears set bits and evicts the first clear entry it meets, so the policy
-// degenerates to FIFO exactly when nothing is re-used.  Admission is
-// TinyLFU-style: each shard keeps a count-min frequency sketch over node
-// fingerprints, and a miss on a full shard is cached only when the
-// candidate's estimated frequency is at least the CLOCK victim's — one-shot
-// encodings from big-state scans stop cycling hot shards, while an equal
-// -frequency candidate still wins so a pure-FIFO workload behaves exactly
-// as before.  Sharded to keep the commit pool's concurrent root
-// computations from serializing on one mutex.  Hit/miss/eviction/rejection
-// /byte counters are exposed for benches and tests.
+// (second-chance): a hit sets the entry's reference bit; a put into a full
+// shard steps the hand, evicting clear entries, and stops at the first set
+// bit it meets, clearing it and leaving the new entry out.  With no re-use
+// this is FIFO; when loads outrun the budget, re-used entries stay
+// resident instead of being cycled out by one-shot loads.  Sharded by the
+// hash bytes to keep concurrent loads from serializing on one mutex.
+// Hit/miss/eviction/byte counters are exposed for benches and tests.
 #pragma once
 
 #include <array>
@@ -43,20 +38,15 @@ namespace blockpilot::trie {
 class NodeCache {
  public:
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    std::uint64_t hits = 0;    // get() calls served from the cache
+    std::uint64_t misses = 0;  // get() calls that found nothing
     std::uint64_t evictions = 0;
-    std::uint64_t rejected = 0;  // misses denied admission by the sketch
-    std::uint64_t bypassed = 0;  // hash_of calls that skipped the cache
-                                 // entirely (capacity 0, or jumbo encoding)
-    std::uint64_t load_hits = 0;    // disk-backed stub loads served here
-    std::uint64_t load_misses = 0;  // stub loads that had to hit the store
     std::size_t entries = 0;
     std::size_t bytes = 0;     // resident, per entry_bytes()
     std::size_t capacity = 0;  // byte budget across all shards
   };
 
-  /// Default byte budget (~the old 2^16-entry bound at typical node sizes).
+  /// Default byte budget (~2^16 entries at typical node sizes).
   static constexpr std::size_t kDefaultCapacity = std::size_t{16} << 20;
 
   /// Fixed accounting overhead charged per entry on top of the encoding
@@ -70,27 +60,16 @@ class NodeCache {
 
   explicit NodeCache(std::size_t capacity_bytes = kDefaultCapacity);
 
-  /// Hash-consed keccak of a node encoding: returns the memoized digest when
-  /// an identical encoding was hashed before, computing and interning it
-  /// otherwise.  A capacity of 0 disables interning (plain keccak); an
-  /// encoding whose entry_bytes() alone exceeds a shard's budget is hashed
-  /// but never cached.
-  Hash256 hash_of(std::span<const std::uint8_t> encoding);
+  /// The encoding of the node with hash `h`, if resident.  Every call counts
+  /// one hit or one miss; a hit sets the entry's CLOCK reference bit.
+  std::optional<std::vector<std::uint8_t>> get(const Hash256& h);
 
-  /// Reverse lookup: the RLP encoding of a cached node by its hash.  A hit
-  /// counts as a reference for CLOCK (the read-through path keeps hot disk
-  /// nodes resident).
-  std::optional<std::vector<std::uint8_t>> encoding_of(const Hash256& h);
-
-  /// Read-through accounting for the trie's disk-backed stub loads (the
-  /// load itself lives in mpt.cpp; the cache only owns the counters so one
-  /// stats() struct tells the whole hit/miss story).
-  void count_load_hit() noexcept {
-    load_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_load_miss() noexcept {
-    load_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Caches `encoding` under `h`, unless making room meets an entry used
+  /// since the hand last passed it (see above).  The caller has verified
+  /// that `encoding` hashes to `h`.  A capacity of 0 caches nothing; an
+  /// encoding whose entry_bytes() alone exceeds a shard's budget is never
+  /// cached.
+  void put(const Hash256& h, std::span<const std::uint8_t> encoding);
 
   /// Aggregate statistics over all shards.
   Stats stats() const;
@@ -100,82 +79,46 @@ class NodeCache {
   void reset_stats();
 
   /// Rebounds the byte budget; shrinking evicts by CLOCK sweep.  Capacity 0
-  /// bypasses the cache entirely.
+  /// caches nothing.
   void set_capacity(std::size_t capacity_bytes);
   std::size_t capacity() const;
 
-  /// The process-wide cache the trie layer's node hashing goes through.
+  /// The process-wide cache the trie layer's stub loads read through.
   static NodeCache& global();
 
  private:
-  using Bytes = std::vector<std::uint8_t>;
-
-  struct BytesHash {
-    std::size_t operator()(const Bytes& b) const noexcept {
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const std::uint8_t byte : b) {
-        h ^= byte;
-        h *= 0x100000001b3ULL;
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   struct Entry {
-    Hash256 hash;
+    std::vector<std::uint8_t> encoding;
     bool referenced = false;  // CLOCK second-chance bit, set on hit
-    std::uint64_t fp = 0;     // sketch fingerprint (full-encoding FNV-1a)
   };
-  // Map nodes are pointer-stable across rehash, so the ring and the reverse
-  // index address entries by node pointer.
-  using MapNode = std::pair<const Bytes, Entry>;
-
-  /// TinyLFU-style count-min frequency sketch: 4 saturating 4-bit-equivalent
-  /// counters per fingerprint, halved wholesale every kSamplePeriod records
-  /// so stale popularity decays instead of pinning the shard forever.
-  struct FreqSketch {
-    static constexpr std::size_t kCounters = 4096;  // power of two
-    static constexpr std::uint8_t kMaxCount = 15;
-    static constexpr std::uint64_t kSamplePeriod = 16 * kCounters;
-
-    void record(std::uint64_t fp) noexcept;
-    std::uint32_t estimate(std::uint64_t fp) const noexcept;
-    void reset() noexcept;
-
-    std::array<std::uint8_t, kCounters> counters{};
-    std::uint64_t samples = 0;
-  };
+  // Map nodes are pointer-stable across rehash, so the ring addresses
+  // entries by node pointer.
+  using MapNode = std::pair<const Hash256, Entry>;
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<Bytes, Entry, BytesHash> by_encoding;
-    std::unordered_map<Hash256, MapNode*> by_hash;
-    std::list<MapNode*> ring;          // CLOCK order; new entries join
+    std::unordered_map<Hash256, Entry> entries;
+    std::list<MapNode*> ring;            // CLOCK order; new entries join
     std::list<MapNode*>::iterator hand;  // behind the hand
-    FreqSketch sketch;                 // admission filter
     std::size_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t rejected = 0;
 
     Shard() : hand(ring.end()) {}
   };
 
   static constexpr std::size_t kShards = 8;
 
-  Shard& shard_for(std::span<const std::uint8_t> encoding);
-  /// Advances the hand to the entry the next eviction would take (clearing
-  /// reference bits on the way) without evicting it.  Precondition: the
-  /// ring is non-empty.
-  static MapNode* clock_victim(Shard& s);
-  static void evict_one(Shard& s);
+  /// Keccak output is uniform, so the first hash byte picks the shard.
+  Shard& shard_for(const Hash256& h) { return shards_[h.bytes[0] % kShards]; }
+  /// One CLOCK step at the hand: clears a set reference bit (returns
+  /// false) or evicts an unreferenced entry (returns true).  Precondition:
+  /// the ring is non-empty.
+  static bool step_hand(Shard& s);
 
   std::array<Shard, kShards> shards_;
   std::atomic<std::size_t> shard_capacity_;  // byte budget per shard
-  std::atomic<std::uint64_t> bypassed_{0};
-  std::atomic<std::uint64_t> load_hits_{0};
-  std::atomic<std::uint64_t> load_misses_{0};
 };
 
 }  // namespace blockpilot::trie

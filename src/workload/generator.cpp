@@ -96,6 +96,12 @@ Address WorkloadGenerator::nft(std::size_t i) const {
 }
 
 state::WorldState WorkloadGenerator::genesis() const {
+  std::call_once(genesis_->once,
+                 [this] { genesis_->state = build_genesis(); });
+  return genesis_->state;
+}
+
+state::WorldState WorkloadGenerator::build_genesis() const {
   state::WorldState ws;
   using state::StateKey;
 

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -80,7 +82,9 @@ class WorkloadGenerator {
 
   /// Funded and deployed genesis state (idempotent; independent of the
   /// transaction stream position), returned already committed so copies
-  /// answer state_root() from the memo.
+  /// answer state_root() from the memo.  The first call builds and commits
+  /// it; later calls (on this generator or a copy of it) return copies
+  /// that share its tries and root memo.
   state::WorldState genesis() const;
 
   /// Next block's transaction batch.  Per-sender nonces are tracked across
@@ -110,12 +114,21 @@ class WorkloadGenerator {
                       std::size_t max_txs);
   chain::Transaction base_tx(Xoshiro256& rng, const Address& from);
   Address pick_sender(Xoshiro256& rng) const;
+  state::WorldState build_genesis() const;
+
+  /// The genesis built by the first genesis() call, shared by copies of
+  /// this generator so they stay copyable.
+  struct GenesisCell {
+    std::once_flag once;
+    state::WorldState state;
+  };
 
   WorkloadConfig config_;
   Xoshiro256 rng_;
   ZipfSampler contract_zipf_;
   ZipfSampler recipient_zipf_;
   std::unordered_map<Address, std::uint64_t> next_nonce_;
+  std::shared_ptr<GenesisCell> genesis_ = std::make_shared<GenesisCell>();
 };
 
 }  // namespace blockpilot::workload

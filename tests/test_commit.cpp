@@ -1,10 +1,11 @@
 // Asynchronous state-commitment subsystem tests: incremental WorldState
-// roots (differential vs the from-scratch oracle), the hash-consed
+// roots (differential vs the from-scratch oracle), the stub-load
 // NodeCache, CommitPipeline ordering, and the async integration through
 // validator / pipeline / blockchain.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <unordered_map>
@@ -12,7 +13,9 @@
 
 #include "commit/commit_pipeline.hpp"
 #include "core/blockpilot.hpp"
+#include "db/node_store.hpp"
 #include "support/rng.hpp"
+#include "trie/mpt.hpp"
 #include "trie/node_cache.hpp"
 
 namespace blockpilot {
@@ -24,52 +27,64 @@ using state::WorldState;
 // ---------------------------------------------------------------------------
 // NodeCache
 
-TEST(NodeCache, InternsAndCounts) {
-  trie::NodeCache cache(4096);
-  const std::vector<std::uint8_t> enc = {0x01, 0x02, 0x03, 0x04};
-  const Hash256 expected{crypto::keccak256(std::span(enc))};
+// A node encoding and its hash, as a verified stub load puts them.
+struct CachedNode {
+  std::vector<std::uint8_t> enc;
+  Hash256 hash;
+};
 
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
+CachedNode cached_node(std::vector<std::uint8_t> enc) {
+  const Hash256 h{crypto::keccak256(std::span(enc))};
+  return {std::move(enc), h};
+}
+
+TEST(NodeCache, CachesAndCounts) {
+  trie::NodeCache cache(4096);
+  const CachedNode n = cached_node({0x01, 0x02, 0x03, 0x04});
+
+  EXPECT_FALSE(cache.get(n.hash).has_value());
+  cache.put(n.hash, std::span(n.enc));
+  const auto back = cache.get(n.hash);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, n.enc);
+  cache.put(n.hash, std::span(n.enc));  // already resident: no second charge
+
   const auto s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.entries, 1u);
   // Byte accounting: one resident entry, charged encoding + overhead.
-  EXPECT_EQ(s.bytes, trie::NodeCache::entry_bytes(enc.size()));
+  EXPECT_EQ(s.bytes, trie::NodeCache::entry_bytes(n.enc.size()));
   EXPECT_GE(s.capacity, 4096u);
-
-  // Reverse index resolves the encoding by hash.
-  const auto back = cache.encoding_of(expected);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, enc);
 }
 
-TEST(NodeCache, ZeroCapacityBypasses) {
+TEST(NodeCache, ZeroCapacityCachesNothing) {
   trie::NodeCache cache(0);
-  const std::vector<std::uint8_t> enc = {0xaa, 0xbb};
-  const Hash256 expected{crypto::keccak256(std::span(enc))};
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
+  const CachedNode n = cached_node({0xaa, 0xbb});
+  cache.put(n.hash, std::span(n.enc));
+  EXPECT_FALSE(cache.get(n.hash).has_value());
+  EXPECT_FALSE(cache.get(n.hash).has_value());
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.misses, 2u);  // every get is a load the store must serve
   EXPECT_EQ(s.entries, 0u);
 }
 
 TEST(NodeCache, EvictsWhenFullAndStaysCorrect) {
   // ~1 resident 3-byte entry per shard: every shard is constantly evicting.
   trie::NodeCache cache(8 * trie::NodeCache::entry_bytes(3));
-  std::vector<std::vector<std::uint8_t>> encodings;
+  std::vector<CachedNode> nodes;
   for (std::uint8_t i = 0; i < 64; ++i)
-    encodings.push_back({i, static_cast<std::uint8_t>(i + 1), 0x7f});
+    nodes.push_back(cached_node({i, static_cast<std::uint8_t>(i + 1), 0x7f}));
 
-  // Fill far past capacity, then re-query everything: answers must stay
-  // bit-identical to plain keccak whether served from cache or recomputed.
+  // Load far past capacity, twice: every hit must return the exact
+  // encoding that was put under that hash.
   for (int round = 0; round < 2; ++round) {
-    for (const auto& enc : encodings) {
-      const Hash256 expected{crypto::keccak256(std::span(enc))};
-      EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
+    for (const CachedNode& n : nodes) {
+      if (const auto back = cache.get(n.hash); back.has_value())
+        EXPECT_EQ(*back, n.enc);
+      else
+        cache.put(n.hash, std::span(n.enc));
     }
   }
   const auto s = cache.stats();
@@ -80,10 +95,11 @@ TEST(NodeCache, EvictsWhenFullAndStaysCorrect) {
 
 TEST(NodeCache, ShrinkingCapacityEvicts) {
   trie::NodeCache cache(std::size_t{1} << 20);
+  std::vector<CachedNode> nodes;
   for (std::uint8_t i = 0; i < 100; ++i) {
-    const std::vector<std::uint8_t> enc = {i, 0x55,
-                                           static_cast<std::uint8_t>(0xff - i)};
-    cache.hash_of(std::span(enc));
+    nodes.push_back(
+        cached_node({i, 0x55, static_cast<std::uint8_t>(0xff - i)}));
+    cache.put(nodes.back().hash, std::span(nodes.back().enc));
   }
   EXPECT_EQ(cache.stats().entries, 100u);
   const std::size_t shrunk = 8 * trie::NodeCache::entry_bytes(3);
@@ -93,36 +109,29 @@ TEST(NodeCache, ShrinkingCapacityEvicts) {
   EXPECT_LE(s.entries, 8u);
   EXPECT_GT(s.evictions, 0u);
   // Survivors still answer correctly after the shrink sweep.
-  for (std::uint8_t i = 0; i < 100; ++i) {
-    const std::vector<std::uint8_t> enc = {i, 0x55,
-                                           static_cast<std::uint8_t>(0xff - i)};
-    EXPECT_EQ(cache.hash_of(std::span(enc)),
-              Hash256{crypto::keccak256(std::span(enc))});
+  std::size_t survivors = 0;
+  for (const CachedNode& n : nodes) {
+    if (const auto back = cache.get(n.hash); back.has_value()) {
+      EXPECT_EQ(*back, n.enc);
+      ++survivors;
+    }
   }
+  EXPECT_EQ(survivors, s.entries);
 }
 
-// Mirror of NodeCache's internal shard choice (FNV over a 16-byte prefix,
-// xor size, mod 8) so the CLOCK tests below can pin all traffic to one
-// shard.  Whitebox by design: if the shard function changes, update both.
-std::size_t shard_index_of(const std::vector<std::uint8_t>& enc) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::size_t probe = enc.size() < 16 ? enc.size() : 16;
-  for (std::size_t i = 0; i < probe; ++i) {
-    h ^= enc[i];
-    h *= 0x100000001b3ULL;
-  }
-  h ^= enc.size();
-  return h % 8;
-}
+// Mirror of NodeCache's internal shard choice (first hash byte, mod 8) so
+// the CLOCK tests below can pin all traffic to one shard.  Whitebox by
+// design: if the shard function changes, update both.
+std::size_t shard_index_of(const Hash256& h) { return h.bytes[0] % 8; }
 
-// 3-byte encodings that all land in shard 0, in generation order.
-std::vector<std::vector<std::uint8_t>> shard0_encodings(std::size_t n) {
-  std::vector<std::vector<std::uint8_t>> out;
+// 3-byte nodes whose hashes all land in shard 0, in generation order.
+std::vector<CachedNode> shard0_nodes(std::size_t n) {
+  std::vector<CachedNode> out;
   for (std::uint32_t seed = 0; out.size() < n; ++seed) {
-    std::vector<std::uint8_t> enc = {static_cast<std::uint8_t>(seed),
-                                     static_cast<std::uint8_t>(seed >> 8),
-                                     static_cast<std::uint8_t>(seed >> 16)};
-    if (shard_index_of(enc) == 0) out.push_back(std::move(enc));
+    CachedNode node = cached_node({static_cast<std::uint8_t>(seed),
+                                   static_cast<std::uint8_t>(seed >> 8),
+                                   static_cast<std::uint8_t>(seed >> 16)});
+    if (shard_index_of(node.hash) == 0) out.push_back(std::move(node));
   }
   return out;
 }
@@ -130,135 +139,175 @@ std::vector<std::vector<std::uint8_t>> shard0_encodings(std::size_t n) {
 TEST(NodeCache, ClockGivesSecondChanceToHitEntries) {
   // Budget: exactly two 3-byte entries per shard.
   trie::NodeCache cache(8 * 2 * trie::NodeCache::entry_bytes(3));
-  const auto encs = shard0_encodings(3);
-  const auto& a = encs[0];
-  const auto& b = encs[1];
-  const auto& c = encs[2];
+  const auto nodes = shard0_nodes(3);
+  const auto& a = nodes[0];
+  const auto& b = nodes[1];
+  const auto& c = nodes[2];
 
-  cache.hash_of(std::span(a));
-  cache.hash_of(std::span(b));  // shard 0 now full: [a, b]
-  cache.hash_of(std::span(a));  // sets a's reference bit
+  cache.put(a.hash, std::span(a.enc));
+  cache.put(b.hash, std::span(b.enc));  // shard 0 now full: [a, b]
+  ASSERT_TRUE(cache.get(a.hash).has_value());  // sets a's reference bit
 
-  // Inserting c forces one eviction.  The sweep meets a first (referenced:
-  // bit cleared, spared) and evicts b — the second chance in action.
-  cache.hash_of(std::span(c));
-  const auto before = cache.stats();
-  cache.hash_of(std::span(a));
-  EXPECT_EQ(cache.stats().hits, before.hits + 1);  // a survived
-  cache.hash_of(std::span(b));
-  EXPECT_EQ(cache.stats().misses, before.misses + 1);  // b did not
+  // Putting c needs room.  The hand meets a first: referenced, so a keeps
+  // its place (bit cleared, hand advances) and c is not cached.
+  cache.put(c.hash, std::span(c.enc));
+  EXPECT_FALSE(cache.get(c.hash).has_value());
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  // Putting c again: the hand meets b, unreferenced, and evicts it.
+  cache.put(c.hash, std::span(c.enc));
+  EXPECT_TRUE(cache.get(a.hash).has_value());   // a survived
+  EXPECT_FALSE(cache.get(b.hash).has_value());  // b did not
+  EXPECT_TRUE(cache.get(c.hash).has_value());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(NodeCache, LoadsBeyondTheBudgetKeepReusedEntries) {
+  // A reused pair shares shard 0 with a stream of one-shot loads, three per
+  // reuse, into a budget of four entries.  Each time the hand meets a
+  // reused entry it spends the entry's bit and leaves the load out, so the
+  // one-shot loads evict only each other and the pair is never reloaded.
+  trie::NodeCache cache(8 * 4 * trie::NodeCache::entry_bytes(3));
+  const auto nodes = shard0_nodes(2 + 3 * 64);
+  const auto load = [&](const CachedNode& n) {
+    if (!cache.get(n.hash).has_value()) cache.put(n.hash, std::span(n.enc));
+  };
+  load(nodes[0]);
+  load(nodes[1]);
+  std::size_t next = 2;
+  for (int round = 0; round < 64; ++round) {
+    load(nodes[0]);
+    load(nodes[1]);
+    for (int i = 0; i < 3; ++i) load(nodes[next++]);
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.hits, 2u * 64);  // the pair missed only on its first load
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_LE(s.bytes, s.capacity);
 }
 
 TEST(NodeCache, ClockDegeneratesToFifoWithoutHits) {
   trie::NodeCache cache(8 * 2 * trie::NodeCache::entry_bytes(3));
-  const auto encs = shard0_encodings(3);
-  const auto& a = encs[0];
-  const auto& b = encs[1];
-  const auto& c = encs[2];
+  const auto nodes = shard0_nodes(3);
+  const auto& a = nodes[0];
+  const auto& b = nodes[1];
+  const auto& c = nodes[2];
 
-  cache.hash_of(std::span(a));
-  cache.hash_of(std::span(b));
-  cache.hash_of(std::span(c));  // no hits anywhere: evicts a (the oldest)
-  const auto before = cache.stats();
-  cache.hash_of(std::span(b));
-  EXPECT_EQ(cache.stats().hits, before.hits + 1);  // b survived
-  cache.hash_of(std::span(a));
-  EXPECT_EQ(cache.stats().misses, before.misses + 1);  // a was evicted
+  cache.put(a.hash, std::span(a.enc));
+  cache.put(b.hash, std::span(b.enc));
+  cache.put(c.hash, std::span(c.enc));  // no hits anywhere: evicts a
+  EXPECT_TRUE(cache.get(b.hash).has_value());   // b survived
+  EXPECT_FALSE(cache.get(a.hash).has_value());  // a (the oldest) was evicted
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(NodeCache, JumboEncodingBypassesCache) {
+TEST(NodeCache, JumboEncodingIsNeverCached) {
   trie::NodeCache cache(8 * 2 * trie::NodeCache::entry_bytes(3));
-  const auto resident = shard0_encodings(1);
-  cache.hash_of(std::span(resident[0]));
+  const auto resident = shard0_nodes(1);
+  cache.put(resident[0].hash, std::span(resident[0].enc));
   const auto before = cache.stats();
 
-  // An encoding whose charge alone exceeds a shard's budget is hashed but
-  // never admitted — it must not wipe out the resident entries.
-  std::vector<std::uint8_t> jumbo(4096, 0xEE);
-  EXPECT_EQ(cache.hash_of(std::span(jumbo)),
-            Hash256{crypto::keccak256(std::span(jumbo))});
+  // An encoding whose charge alone exceeds a shard's budget is never
+  // admitted — it must not wipe out the resident entries.
+  const CachedNode jumbo = cached_node(std::vector<std::uint8_t>(4096, 0xEE));
+  cache.put(jumbo.hash, std::span(jumbo.enc));
+  EXPECT_FALSE(cache.get(jumbo.hash).has_value());
   const auto after = cache.stats();
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.bytes, before.bytes);
   EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_TRUE(cache.get(resident[0].hash).has_value());
 }
 
 TEST(NodeCache, ClockPropertyRandomizedOps) {
-  // Property sweep: under random insert/hit traffic with mixed encoding
-  // sizes, the byte budget is never exceeded, accounting stays exact, and
-  // the counters are consistent with the operation count.
+  // Property sweep: under random load traffic (get, then put on a miss)
+  // with mixed encoding sizes, the byte budget is never exceeded,
+  // accounting stays exact, every hit returns the encoding put under its
+  // hash, and the counters are consistent with the operation count.
   trie::NodeCache cache(4 * 1024);
   std::mt19937_64 rng(0xC10C);
   std::uint64_t ops = 0;
-  std::vector<std::vector<std::uint8_t>> pool;
+  std::vector<CachedNode> pool;
   for (int i = 0; i < 200; ++i) {
-    const std::size_t len = 1 + rng() % 200;
-    std::vector<std::uint8_t> enc(len);
+    std::vector<std::uint8_t> enc(1 + rng() % 200);
     for (auto& byte : enc) byte = static_cast<std::uint8_t>(rng());
-    pool.push_back(std::move(enc));
+    pool.push_back(cached_node(std::move(enc)));
   }
   for (int op = 0; op < 3000; ++op) {
-    const auto& enc = pool[rng() % pool.size()];
+    const CachedNode& n = pool[rng() % pool.size()];
     ++ops;
-    ASSERT_EQ(cache.hash_of(std::span(enc)),
-              Hash256{crypto::keccak256(std::span(enc))});
+    if (const auto back = cache.get(n.hash); back.has_value())
+      ASSERT_EQ(*back, n.enc);
+    else
+      cache.put(n.hash, std::span(n.enc));
     if (op % 64 == 0) {
       const auto s = cache.stats();
       ASSERT_LE(s.bytes, s.capacity);
-      ASSERT_LE(s.evictions, s.misses);
+      ASSERT_LE(s.entries, s.misses);
     }
   }
   const auto s = cache.stats();
   EXPECT_EQ(s.hits + s.misses, ops);
   EXPECT_LE(s.bytes, s.capacity);
+  EXPECT_GT(s.hits, 0u);
   EXPECT_GT(s.evictions, 0u);
 }
 
-TEST(NodeCache, TinyLfuScanCannotEvictReheatedWorkingSet) {
-  // Property: once a working set is hot (re-used often enough to register in
-  // the frequency sketch), an arbitrarily long one-shot scan must not push
-  // it out — every scan candidate's estimated frequency is below any hot
-  // victim's, so admission denies the trade.  All traffic is pinned to
-  // shard 0, whose budget holds exactly the working set.
-  constexpr std::size_t kWorking = 4;
-  constexpr std::size_t kScan = 400;
-  trie::NodeCache cache(8 * kWorking * trie::NodeCache::entry_bytes(3));
-  const auto encs = shard0_encodings(kWorking + kScan);
+TEST(NodeCache, OnlyVerifiedStubLoadsEnterTheGlobalCache) {
+  auto& cache = trie::NodeCache::global();
+  cache.clear();
 
-  // Heat: enough re-reads to lift the sketch estimate well above a
-  // one-shot's, but far below the sketch's aging period.
-  for (int round = 0; round < 12; ++round)
-    for (std::size_t i = 0; i < kWorking; ++i)
-      cache.hash_of(std::span(encs[i]));
-
-  const auto heated = cache.stats();
-  EXPECT_EQ(heated.misses, kWorking);
-  EXPECT_EQ(heated.rejected, 0u);
-
-  // Scan: every encoding distinct, each seen exactly once.
-  for (std::size_t i = kWorking; i < kWorking + kScan; ++i) {
-    ASSERT_EQ(cache.hash_of(std::span(encs[i])),
-              Hash256{crypto::keccak256(std::span(encs[i]))});
+  // Hashing fresh tries (a world state's and a plain trie's) leaves the
+  // global cache empty: each node memoizes its own hash.
+  WorldState ws;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    ws.set(StateKey::balance(Address::from_id(i)), U256{i + 1});
+    ws.set(StateKey::storage(Address::from_id(i % 4), U256{i}),
+           U256{3 * i + 1});
   }
+  (void)ws.state_root();
+  trie::MerklePatriciaTrie t;
+  const auto key_of = [](std::uint64_t k) {
+    std::array<std::uint8_t, 8> key{};
+    std::memcpy(key.data(), &k, sizeof(k));
+    return key;
+  };
+  for (std::uint64_t k = 0; k < 256; ++k) {
+    const auto key = key_of(k);
+    const std::vector<std::uint8_t> value(1 + k % 40,
+                                          static_cast<std::uint8_t>(k));
+    t.put(std::span(key), std::span(value));
+  }
+  const Hash256 root = t.root_hash();
+  EXPECT_EQ(cache.stats().entries, 0u);
 
-  // Every scan miss was denied admission: no hot entry was traded away.
-  const auto scanned = cache.stats();
-  EXPECT_EQ(scanned.rejected - heated.rejected, kScan);
-  EXPECT_EQ(scanned.evictions, heated.evictions);
+  // A cold reopen reads each loaded node from the store once and caches it;
+  // a second cold reopen is served by the cache with no store read.
+  db::InMemoryNodeStore store;
+  t.persist_nodes(store);
+  const auto read_all = [&] {
+    const auto reopened = trie::MerklePatriciaTrie::from_root(root, store);
+    for (std::uint64_t k = 0; k < 256; ++k) {
+      const auto key = key_of(k);
+      ASSERT_EQ(reopened.get(std::span(key)), t.get(std::span(key)));
+    }
+  };
+  const std::uint64_t gets0 = store.stats().gets;
+  const auto c0 = cache.stats();
+  read_all();
+  const std::uint64_t loads = store.stats().gets - gets0;
+  const auto c1 = cache.stats();
+  EXPECT_GT(loads, 0u);
+  EXPECT_EQ(c1.misses - c0.misses, loads);
+  EXPECT_EQ(c1.hits, c0.hits);
+  EXPECT_EQ(c1.entries, loads);
 
-  // The working set still answers from cache — zero new misses.
-  for (std::size_t i = 0; i < kWorking; ++i)
-    cache.hash_of(std::span(encs[i]));
-  const auto after = cache.stats();
-  EXPECT_EQ(after.misses, scanned.misses);
-  EXPECT_EQ(after.hits, scanned.hits + kWorking);
-
-  // Reheat-and-scan again: resistance is not a first-scan fluke.
-  for (std::size_t i = kWorking; i < kWorking + kScan; ++i)
-    cache.hash_of(std::span(encs[i]));
-  for (std::size_t i = 0; i < kWorking; ++i)
-    cache.hash_of(std::span(encs[i]));
-  EXPECT_EQ(cache.stats().misses, after.misses + kScan);  // scans still miss
+  read_all();
+  EXPECT_EQ(store.stats().gets, gets0 + loads);
+  const auto c2 = cache.stats();
+  EXPECT_EQ(c2.hits - c1.hits, loads);
+  EXPECT_EQ(c2.misses, c1.misses);
+  cache.clear();
 }
 
 // ---------------------------------------------------------------------------

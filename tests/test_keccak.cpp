@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "types/address.hpp"
 
 namespace blockpilot::crypto {
@@ -65,6 +68,27 @@ TEST(Keccak, RateBoundaryLengths) {
     h.update(std::span(reinterpret_cast<const std::uint8_t*>(payload.data()),
                        payload.size()));
     EXPECT_EQ(h.finalize(), keccak256(payload)) << "len=" << len;
+  }
+}
+
+TEST(Keccak, MultiBlockGoldenDigests) {
+  // Pinned digests around the one- and two-block rate boundaries, so a
+  // rewrite of the permutation is checked against fixed answers, not only
+  // against itself.  Payload byte i is (31 * i + 7) mod 256.
+  const std::pair<std::size_t, const char*> kGolden[] = {
+      {135, "0xadee8145bb33dc0320ad44945eeeb391e4668f0f7c69ccbbf6550a7cba245e52"},
+      {136, "0xeaccfc5aa7bf6bf1941809ef7cc9ee6a2fa306a7dd1de3f2e8504849b0a5e3c4"},
+      {137, "0xea0e0b9657469f0b4f53604f1068ab4bd4a5e7b0a458d24a78f1fe2ec7bd4db0"},
+      {271, "0x407871b419dca15e033dd9777154af2116326a7849eacadbc46b1618055ee0a2"},
+      {272, "0xc62d6a60780d4e03408834062e58004a549cff1c7487c0b9a130810621b0fcae"},
+      {273, "0xb47ca693c8d675afa3b0b644da6dc96613f07c6f8971f9a0077ed6b7c994561d"},
+  };
+  for (const auto& [len, digest] : kGolden) {
+    std::vector<std::uint8_t> payload(len);
+    for (std::size_t i = 0; i < len; ++i)
+      payload[i] = static_cast<std::uint8_t>(31 * i + 7);
+    EXPECT_EQ(hex(keccak256(std::span<const std::uint8_t>(payload))), digest)
+        << "len=" << len;
   }
 }
 

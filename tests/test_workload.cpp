@@ -42,6 +42,19 @@ TEST(Generator, GenesisIsCommittedWhenHandedOut) {
     EXPECT_EQ(after.root_recomputes, before.root_recomputes);
     EXPECT_EQ(after.accounts_resynced, before.accounts_resynced);
   }
+
+  // The first call built and committed the state once: a second call, on
+  // the generator or a copy of it, hands out a copy of that state, so its
+  // root is a memo hit and equals the first.
+  const WorkloadGenerator gen_copy = gen;
+  for (const WorkloadGenerator* g : {&gen, &gen_copy}) {
+    const state::WorldState again = g->genesis();
+    const auto before = again.commit_stats();
+    EXPECT_EQ(again.state_root(), genesis.state_root());
+    const auto after = again.commit_stats();
+    EXPECT_EQ(after.root_memo_hits, before.root_memo_hits + 1);
+    EXPECT_EQ(after.root_recomputes, before.root_recomputes);
+  }
 }
 
 TEST(Generator, DifferentSeedsDiffer) {
