@@ -5,6 +5,7 @@
 // of the concurrency-control results.
 #include <benchmark/benchmark.h>
 
+#include "chain/codec.hpp"
 #include "core/blockpilot.hpp"
 #include "evm/assembler.hpp"
 #include "workload/contracts.hpp"
@@ -146,6 +147,49 @@ void BM_DependencyGraphBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 132);
 }
 BENCHMARK(BM_DependencyGraphBuild);
+
+// What a proposer broadcasts for one 128-tx preset_mainnet block: the sealed
+// block plus its read/write-set profile (the perfbench `codec.*` spans).
+const chain::BlockAnnouncement& mainnet_announcement() {
+  static const chain::BlockAnnouncement ann = [] {
+    workload::WorkloadGenerator gen(workload::preset_mainnet());
+    const state::WorldState genesis = gen.genesis();
+    evm::BlockContext ctx;
+    ctx.number = 1;
+    ctx.coinbase = Address::from_id(0xFEE);
+    const auto txs = gen.next_batch(128);
+    const auto serial = core::execute_serial(genesis, ctx, std::span(txs));
+    chain::BlockAnnouncement a;
+    a.block = core::seal_block(ctx, serial.exec, serial.included);
+    a.profile = serial.exec.profile;
+    return a;
+  }();
+  return ann;
+}
+
+void BM_CodecEncodeAnnouncement(benchmark::State& state) {
+  const chain::BlockAnnouncement& ann = mainnet_announcement();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const chain::Bytes wire = chain::encode_announcement(ann);
+    bytes = wire.size();
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CodecEncodeAnnouncement);
+
+void BM_CodecDecodeAnnouncement(benchmark::State& state) {
+  const chain::Bytes wire = chain::encode_announcement(mainnet_announcement());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chain::decode_announcement(std::span(wire)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_CodecDecodeAnnouncement);
 
 }  // namespace
 }  // namespace blockpilot

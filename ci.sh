@@ -25,8 +25,12 @@
 # The commit-labeled suites (incremental roots, forked copies sharing
 # copy-on-write storage shards, the commit stress layer) run under the same
 # ASan+UBSan build (the asan-commit preset): shard sharing is lifetime code.
+# The codec-labeled suites (the RLP reader and its malformed-input table, the
+# block/profile/announcement codec, Merkle proofs, the block archive) run
+# there too (the asan-codec preset): the reader does span arithmetic over
+# bytes from peers and disk.
 #
-#   ./ci.sh            # tier-1 + perf-smoke + tsan commit/stress/db + tsan/asan net + asan-db + asan-commit
+#   ./ci.sh            # tier-1 + perf-smoke + tsan commit/stress/db + tsan/asan net + asan-db + asan-commit + asan-codec
 #   ./ci.sh --tier1    # tier-1 only (fast path)
 #   JOBS=8 ./ci.sh     # override parallelism
 set -euo pipefail
@@ -152,5 +156,8 @@ hygiene_check "asan-db tests"
 
 echo "==> asan-db: commit-labeled tests (forked copies sharing storage shards, commit stress)"
 ctest --preset asan-commit
+
+echo "==> asan-db: codec-labeled tests (RLP reader over malformed bytes, wire codec, proofs, archive)"
+ctest --preset asan-codec
 
 echo "==> ci: all gates passed"

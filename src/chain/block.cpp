@@ -4,20 +4,24 @@
 
 namespace blockpilot::chain {
 
-Bytes BlockHeader::rlp_encode() const {
-  rlp::Encoder enc;
+void BlockHeader::encode_into(rlp::Encoder& enc) const {
   enc.begin_list()
       .add(parent_hash)
-      .add(U256{number})
+      .add(number)
       .add(coinbase)
       .add(state_root)
       .add(tx_root)
       .add(receipts_root)
       .add(std::span(logs_bloom.bytes()))
-      .add(U256{gas_limit})
-      .add(U256{gas_used})
-      .add(U256{timestamp})
+      .add(gas_limit)
+      .add(gas_used)
+      .add(timestamp)
       .end_list();
+}
+
+Bytes BlockHeader::rlp_encode() const {
+  rlp::Encoder enc;
+  encode_into(enc);
   return enc.take();
 }
 

@@ -23,6 +23,10 @@ struct BlockHeader {
   std::uint64_t gas_used = 0;
   std::uint64_t timestamp = 0;
 
+  /// The one definition of the header wire format: rlp([parent_hash,
+  /// number, coinbase, state_root, tx_root, receipts_root, logs_bloom,
+  /// gas_limit, gas_used, timestamp]).
+  void encode_into(rlp::Encoder& enc) const;
   Bytes rlp_encode() const;
   Hash256 hash() const;
 };

@@ -8,195 +8,171 @@ namespace {
 using state::Field;
 using state::StateKey;
 
-void encode_header_into(rlp::Encoder& enc, const BlockHeader& header) {
-  enc.begin_list()
-      .add(header.parent_hash)
-      .add(U256{header.number})
-      .add(header.coinbase)
-      .add(header.state_root)
-      .add(header.tx_root)
-      .add(header.receipts_root)
-      .add(std::span(header.logs_bloom.bytes()))
-      .add(U256{header.gas_limit})
-      .add(U256{header.gas_used})
-      .add(U256{header.timestamp})
-      .end_list();
+// A state key's wire fields [addr, field, slot]: a profile read is these
+// three as a list, a profile write appends the written value.
+void add_key_fields(rlp::Encoder& enc, const StateKey& key) {
+  enc.add(key.addr)
+      .add(static_cast<std::uint64_t>(key.field))
+      .add(key.field == Field::kStorage ? key.slot : U256{});
 }
 
-void encode_tx_into(rlp::Encoder& enc, const Transaction& tx) {
-  enc.begin_list()
-      .add(U256{tx.nonce})
-      .add(tx.gas_price)
-      .add(U256{tx.gas_limit})
-      .add(tx.from)
-      .add(tx.to)
-      .add(tx.value)
-      .add(std::span(tx.data))
-      .end_list();
-}
-
-void encode_key_into(rlp::Encoder& enc, const StateKey& key) {
-  enc.begin_list()
-      .add(key.addr)
-      .add(U256{static_cast<std::uint64_t>(key.field)})
-      .add(key.field == Field::kStorage ? key.slot : U256{})
-      .end_list();
-}
-
-StateKey decode_key(const rlp::Item& item) {
-  BP_ASSERT(item.is_list && item.list.size() >= 3);
-  const std::uint64_t field = item.list[1].as_u64();
-  BP_ASSERT_MSG(field <= 2, "unknown state-key field");
+StateKey read_key_fields(rlp::Reader& in) {
+  const Address addr = in.address();
+  const std::uint64_t field = in.u64();
+  if (field > 2) in.fail();  // unknown state-key field
   // The converting constructor fills the cached hash.
-  return StateKey{item.list[0].as_address(), static_cast<Field>(field),
-                  item.list[2].as_u256()};
+  return StateKey{addr, static_cast<Field>(field), in.u256()};
+}
+
+void encode_block_into(rlp::Encoder& enc, const Block& block) {
+  enc.begin_list();
+  block.header.encode_into(enc);
+  enc.begin_list();
+  for (const Transaction& tx : block.transactions) tx.encode_into(enc);
+  enc.end_list();
+  enc.end_list();
+}
+
+void encode_profile_into(rlp::Encoder& enc, const BlockProfile& profile) {
+  enc.begin_list();
+  for (const TxProfile& tx : profile.txs) {
+    enc.begin_list();
+    enc.begin_list();
+    for (const StateKey& key : tx.reads) {
+      enc.begin_list();
+      add_key_fields(enc, key);
+      enc.end_list();
+    }
+    enc.end_list();
+    enc.begin_list();
+    for (const auto& [key, value] : tx.writes) {
+      enc.begin_list();
+      add_key_fields(enc, key);
+      enc.add(value).end_list();
+    }
+    enc.end_list();
+    enc.add(tx.gas_used);
+    enc.end_list();
+  }
+  enc.end_list();
+}
+
+BlockHeader read_header(rlp::Reader& in) {
+  rlp::Reader r = in.list();
+  BlockHeader header;
+  header.parent_hash = r.hash();
+  header.number = r.u64();
+  header.coinbase = r.address();
+  header.state_root = r.hash();
+  header.tx_root = r.hash();
+  header.receipts_root = r.hash();
+  header.logs_bloom = Bloom::from_bytes(r.bytes(Bloom::kBytes));
+  header.gas_limit = r.u64();
+  header.gas_used = r.u64();
+  header.timestamp = r.u64();
+  r.finish();
+  return header;
+}
+
+Transaction read_transaction(rlp::Reader& in) {
+  rlp::Reader r = in.list();
+  Transaction tx;
+  tx.nonce = r.u64();
+  tx.gas_price = r.u256();
+  tx.gas_limit = r.u64();
+  tx.from = r.address();
+  tx.to = r.address();
+  tx.value = r.u256();
+  const auto data = r.bytes();
+  tx.data.assign(data.begin(), data.end());
+  r.finish();
+  return tx;
+}
+
+Block read_block(rlp::Reader& in) {
+  rlp::Reader r = in.list();
+  Block block;
+  block.header = read_header(r);
+  rlp::Reader txs = r.list();
+  while (!txs.at_end()) block.transactions.push_back(read_transaction(txs));
+  r.finish();
+  return block;
+}
+
+BlockProfile read_profile(rlp::Reader& in) {
+  rlp::Reader r = in.list();
+  BlockProfile profile;
+  while (!r.at_end()) {
+    rlp::Reader entry = r.list();
+    TxProfile tx;
+    rlp::Reader reads = entry.list();
+    while (!reads.at_end()) {
+      rlp::Reader key = reads.list();
+      tx.reads.push_back(read_key_fields(key));
+      key.finish();
+    }
+    rlp::Reader writes = entry.list();
+    while (!writes.at_end()) {
+      rlp::Reader write = writes.list();
+      const StateKey key = read_key_fields(write);
+      tx.writes.emplace_back(key, write.u256());
+      write.finish();
+    }
+    tx.gas_used = entry.u64();
+    entry.finish();
+    profile.txs.push_back(std::move(tx));
+  }
+  return profile;
 }
 
 }  // namespace
 
-BlockHeader decode_header(const rlp::Item& item) {
-  BP_ASSERT(item.is_list && item.list.size() == 10);
-  BlockHeader header;
-  header.parent_hash = item.list[0].as_hash();
-  header.number = item.list[1].as_u64();
-  header.coinbase = item.list[2].as_address();
-  header.state_root = item.list[3].as_hash();
-  header.tx_root = item.list[4].as_hash();
-  header.receipts_root = item.list[5].as_hash();
-  BP_ASSERT_MSG(item.list[6].str.size() == Bloom::kBytes,
-                "logs bloom must be 256 bytes");
-  header.logs_bloom = Bloom::from_bytes(std::span(item.list[6].str));
-  header.gas_limit = item.list[7].as_u64();
-  header.gas_used = item.list[8].as_u64();
-  header.timestamp = item.list[9].as_u64();
-  return header;
-}
-
-Transaction decode_transaction(const rlp::Item& item) {
-  BP_ASSERT(item.is_list && item.list.size() == 7);
-  Transaction tx;
-  tx.nonce = item.list[0].as_u64();
-  tx.gas_price = item.list[1].as_u256();
-  tx.gas_limit = item.list[2].as_u64();
-  tx.from = item.list[3].as_address();
-  tx.to = item.list[4].as_address();
-  tx.value = item.list[5].as_u256();
-  tx.data = item.list[6].str;
-  return tx;
-}
-
 Bytes encode_block(const Block& block) {
   rlp::Encoder enc;
-  enc.begin_list();
-  encode_header_into(enc, block.header);
-  enc.begin_list();
-  for (const Transaction& tx : block.transactions) encode_tx_into(enc, tx);
-  enc.end_list();
-  enc.end_list();
+  encode_block_into(enc, block);
   return enc.take();
 }
 
 Block decode_block(std::span<const std::uint8_t> wire) {
-  const rlp::Item item = rlp::decode(wire);
-  BP_ASSERT(item.is_list && item.list.size() == 2);
-  Block block;
-  block.header = decode_header(item.list[0]);
-  BP_ASSERT(item.list[1].is_list);
-  block.transactions.reserve(item.list[1].list.size());
-  for (const rlp::Item& tx_item : item.list[1].list)
-    block.transactions.push_back(decode_transaction(tx_item));
+  rlp::Reader in(wire);
+  Block block = read_block(in);
+  in.finish();
+  BP_ASSERT_MSG(in.ok(), "malformed block");
   return block;
 }
 
 Bytes encode_profile(const BlockProfile& profile) {
   rlp::Encoder enc;
-  enc.begin_list();
-  for (const TxProfile& tx : profile.txs) {
-    enc.begin_list();
-    enc.begin_list();
-    for (const StateKey& key : tx.reads) encode_key_into(enc, key);
-    enc.end_list();
-    enc.begin_list();
-    for (const auto& [key, value] : tx.writes) {
-      enc.begin_list()
-          .add(key.addr)
-          .add(U256{static_cast<std::uint64_t>(key.field)})
-          .add(key.field == Field::kStorage ? key.slot : U256{})
-          .add(value)
-          .end_list();
-    }
-    enc.end_list();
-    enc.add(U256{tx.gas_used});
-    enc.end_list();
-  }
-  enc.end_list();
+  encode_profile_into(enc, profile);
   return enc.take();
 }
 
 BlockProfile decode_profile(std::span<const std::uint8_t> wire) {
-  const rlp::Item item = rlp::decode(wire);
-  BP_ASSERT(item.is_list);
-  BlockProfile profile;
-  profile.txs.reserve(item.list.size());
-  for (const rlp::Item& tx_item : item.list) {
-    BP_ASSERT(tx_item.is_list && tx_item.list.size() == 3);
-    TxProfile tx;
-    for (const rlp::Item& key_item : tx_item.list[0].list)
-      tx.reads.push_back(decode_key(key_item));
-    for (const rlp::Item& write_item : tx_item.list[1].list) {
-      BP_ASSERT(write_item.is_list && write_item.list.size() == 4);
-      tx.writes.emplace_back(decode_key(write_item),
-                             write_item.list[3].as_u256());
-    }
-    tx.gas_used = tx_item.list[2].as_u64();
-    profile.txs.push_back(std::move(tx));
-  }
+  rlp::Reader in(wire);
+  BlockProfile profile = read_profile(in);
+  in.finish();
+  BP_ASSERT_MSG(in.ok(), "malformed block profile");
   return profile;
 }
 
 Bytes encode_announcement(const BlockAnnouncement& ann) {
   rlp::Encoder enc;
   enc.begin_list();
-  const Bytes block_wire = encode_block(ann.block);
-  const Bytes profile_wire = encode_profile(ann.profile);
-  enc.add_raw(std::span(block_wire));
-  enc.add_raw(std::span(profile_wire));
+  encode_block_into(enc, ann.block);
+  encode_profile_into(enc, ann.profile);
   enc.end_list();
   return enc.take();
 }
 
 BlockAnnouncement decode_announcement(std::span<const std::uint8_t> wire) {
-  const rlp::Item item = rlp::decode(wire);
-  BP_ASSERT(item.is_list && item.list.size() == 2);
-  // Re-encode the sub-items to reuse the span-based decoders.  The two
-  // sub-items are lists, so re-encoding them reproduces their wire bytes.
+  rlp::Reader in(wire);
+  rlp::Reader r = in.list();
   BlockAnnouncement ann;
-  {
-    // decode_block expects a full wire buffer; reconstruct it.
-    rlp::Encoder enc;
-    const rlp::Item& block_item = item.list[0];
-    BP_ASSERT(block_item.is_list && block_item.list.size() == 2);
-    ann.block.header = decode_header(block_item.list[0]);
-    for (const rlp::Item& tx_item : block_item.list[1].list)
-      ann.block.transactions.push_back(decode_transaction(tx_item));
-  }
-  {
-    const rlp::Item& profile_item = item.list[1];
-    BP_ASSERT(profile_item.is_list);
-    for (const rlp::Item& tx_item : profile_item.list) {
-      BP_ASSERT(tx_item.is_list && tx_item.list.size() == 3);
-      TxProfile tx;
-      for (const rlp::Item& key_item : tx_item.list[0].list)
-        tx.reads.push_back(decode_key(key_item));
-      for (const rlp::Item& write_item : tx_item.list[1].list) {
-        BP_ASSERT(write_item.is_list && write_item.list.size() == 4);
-        tx.writes.emplace_back(decode_key(write_item),
-                               write_item.list[3].as_u256());
-      }
-      tx.gas_used = tx_item.list[2].as_u64();
-      ann.profile.txs.push_back(std::move(tx));
-    }
-  }
+  ann.block = read_block(r);
+  ann.profile = read_profile(r);
+  r.finish();
+  in.finish();
+  BP_ASSERT_MSG(in.ok(), "malformed block announcement");
   return ann;
 }
 

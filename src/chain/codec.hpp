@@ -16,12 +16,13 @@ namespace blockpilot::chain {
 
 // -- blocks ---------------------------------------------------------------
 
-/// rlp([header, [tx...]]) where header/tx use their canonical encodings.
+/// rlp([header, [tx...]]) where header/tx use their canonical encodings
+/// (BlockHeader::encode_into, Transaction::encode_into).
+///
+/// Every decode_* aborts on malformed input: one BP_ASSERT on the reader's
+/// error flag once decoding has stopped.
 Bytes encode_block(const Block& block);
 Block decode_block(std::span<const std::uint8_t> wire);
-
-BlockHeader decode_header(const rlp::Item& item);
-Transaction decode_transaction(const rlp::Item& item);
 
 // -- block profiles -------------------------------------------------------
 

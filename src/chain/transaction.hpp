@@ -25,18 +25,23 @@ struct Transaction {
   friend bool operator==(const Transaction&, const Transaction&) = default;
 
   /// Canonical RLP encoding [nonce, gasPrice, gasLimit, from, to, value,
-  /// data] (the `from` field substitutes for the signature triplet).
-  Bytes rlp_encode() const {
-    rlp::Encoder enc;
+  /// data] (the `from` field substitutes for the signature triplet): the
+  /// one definition of the transaction wire format.
+  void encode_into(rlp::Encoder& enc) const {
     enc.begin_list()
-        .add(U256{nonce})
+        .add(nonce)
         .add(gas_price)
-        .add(U256{gas_limit})
+        .add(gas_limit)
         .add(from)
         .add(to)
         .add(value)
         .add(std::span(data))
         .end_list();
+  }
+
+  Bytes rlp_encode() const {
+    rlp::Encoder enc;
+    encode_into(enc);
     return enc.take();
   }
 

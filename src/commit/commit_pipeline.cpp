@@ -97,15 +97,6 @@ CommitHandle CommitPipeline::submit(
   return CommitHandle(fut);
 }
 
-CommitHandle CommitPipeline::submit_writes(
-    const state::WorldState& parent,
-    std::vector<std::pair<state::StateKey, U256>> writes, AuxRootFn aux) {
-  auto post = std::make_shared<state::WorldState>(parent);
-  for (const auto& [key, value] : writes) post->set(key, value);
-  return submit(std::static_pointer_cast<const state::WorldState>(post),
-                std::move(aux));
-}
-
 CommitPipelineStats CommitPipeline::stats() const {
   std::scoped_lock lk(mu_);
   return stats_;

@@ -120,13 +120,6 @@ class CommitPipeline {
   CommitHandle submit(std::shared_ptr<const state::WorldState> post,
                       AuxRootFn aux = {}, SettleFn on_settled = {});
 
-  /// Convenience: copies `parent` (O(accounts): tries and storage shards
-  /// are shared, see world_state.hpp), applies `writes`, and queues the
-  /// commitment of the result.
-  CommitHandle submit_writes(
-      const state::WorldState& parent,
-      std::vector<std::pair<state::StateKey, U256>> writes, AuxRootFn aux = {});
-
   /// Synchronous commitment of a state (the work one task performs).  With
   /// a store, the state's dirty trie nodes are appended right after the
   /// root is known — the batch rides the commit future, off the proposer's

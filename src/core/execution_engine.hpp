@@ -111,12 +111,6 @@ struct ProposerConfig {
   /// kAdaptive only: largest-subgraph ratio above which the next block is
   /// proposed with Block-STM instead of OCC-WSI (engine_select.hpp).
   double adaptive_threshold = kAdaptiveStmThreshold;
-  /// kAdaptive only: where the engine keeps the previous block's
-  /// largest-subgraph ratio.  Null = instance-local (drivers like
-  /// NodeDriver that hold one engine across blocks).  Drivers that build a
-  /// fresh engine per proposal (ConsensusSim) point this at per-node
-  /// storage so the signal survives across blocks.
-  double* adaptive_ratio_slot = nullptr;
 };
 
 struct ProposerStats {
@@ -162,8 +156,8 @@ struct ProposedBlock {
 /// state lives on the stack of one call, so a single engine may be reused
 /// across blocks (and, for the virtual engines, across threads if calls
 /// don't overlap).  The adaptive engine carries one double across calls —
-/// the previous block's largest-subgraph ratio — either instance-local or
-/// in the caller-provided adaptive_ratio_slot.
+/// the previous block's largest-subgraph ratio — so a driver keeps one
+/// engine per proposing node.
 class ExecutionEngine {
  public:
   explicit ExecutionEngine(ProposerConfig config) : config_(config) {}

@@ -10,9 +10,7 @@ namespace {
 /// OCC-WSI while the previous block's largest-subgraph ratio stays at or
 /// below the threshold, Block-STM above it.  The ratio is derived from the
 /// profile of the block this engine just proposed — a pure function of the
-/// chain content, so a seeded run is bit-reproducible.  The signal lives
-/// instance-local by default; drivers that construct a fresh engine per
-/// proposal park it in config.adaptive_ratio_slot instead.
+/// chain content, so a seeded run is bit-reproducible.
 class AdaptiveEngine final : public ExecutionEngine {
  public:
   explicit AdaptiveEngine(const ProposerConfig& config)
@@ -28,10 +26,7 @@ class AdaptiveEngine final : public ExecutionEngine {
   ProposedBlock propose(const state::WorldState& pre,
                         const evm::BlockContext& block_ctx,
                         txpool::TxPool& pool, ThreadPool* workers) override {
-    double& ratio = config_.adaptive_ratio_slot != nullptr
-                        ? *config_.adaptive_ratio_slot
-                        : local_ratio_;
-    const bool use_stm = ratio > config_.adaptive_threshold;
+    const bool use_stm = ratio_ > config_.adaptive_threshold;
     ProposedBlock blk = (use_stm ? *stm_ : *occ_)
                             .propose(pre, block_ctx, pool, workers);
     blk.stats.engine_used =
@@ -39,18 +34,18 @@ class AdaptiveEngine final : public ExecutionEngine {
     // An empty block carries no signal; keep the previous ratio so a quiet
     // interval doesn't reset the regime.
     if (!blk.profile.txs.empty()) {
-      ratio = sched::build_dependency_graph(blk.profile,
-                                            sched::Granularity::kAccount)
-                  .largest_subgraph_ratio();
+      ratio_ = sched::build_dependency_graph(blk.profile,
+                                             sched::Granularity::kAccount)
+                   .largest_subgraph_ratio();
     }
-    blk.stats.largest_subgraph_ratio = ratio;
+    blk.stats.largest_subgraph_ratio = ratio_;
     return blk;
   }
 
  private:
   std::unique_ptr<ExecutionEngine> occ_;
   std::unique_ptr<ExecutionEngine> stm_;
-  double local_ratio_ = 0.0;
+  double ratio_ = 0.0;
 };
 
 }  // namespace

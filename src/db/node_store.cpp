@@ -59,23 +59,4 @@ NodeStore::Stats InMemoryNodeStore::stats() const {
   return stats_;
 }
 
-std::future<ReadResult> AsyncReader::issue(const Hash256& hash) {
-  auto task = [this, hash] {
-    ReadResult r;
-    r.status = store_.get(hash, r.encoding);
-    return r;
-  };
-  if (pool_ == nullptr) {
-    std::promise<ReadResult> p;
-    p.set_value(task());
-    return p.get_future();
-  }
-  auto promise = std::make_shared<std::promise<ReadResult>>();
-  std::future<ReadResult> fut = promise->get_future();
-  pool_->submit([task = std::move(task), promise]() mutable {
-    promise->set_value(task());
-  });
-  return fut;
-}
-
 }  // namespace blockpilot::db

@@ -14,19 +14,15 @@
 //     with manifest-based crash recovery and compaction.
 //
 // Reads are hot-path (trie stub resolution on proposer/validator lanes),
-// so the interface is deliberately tiny and the async fan-out lives in
-// AsyncReader, which schedules get() calls on the shared ThreadPool and
-// hands back issue-then-await tickets.
+// so the interface is deliberately tiny.
 #pragma once
 
-#include <future>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "db/status.hpp"
-#include "support/thread_pool.hpp"
 #include "types/address.hpp"
 
 namespace blockpilot::db {
@@ -96,30 +92,6 @@ class InMemoryNodeStore final : public NodeStore {
   Hash256 durable_root_;
   std::uint64_t durable_height_ = 0;
   mutable Stats stats_;
-};
-
-/// One completed async node fetch.
-struct ReadResult {
-  Status status;
-  std::vector<std::uint8_t> encoding;
-};
-
-/// Issue-then-await async reads over any NodeStore: fetches run as tasks on
-/// the shared ThreadPool (the "background reader"), so proposer/validator
-/// lanes overlap page I/O with execution instead of blocking on each miss.
-/// Without a pool the fetch degrades to inline (still correct, not async).
-class AsyncReader {
- public:
-  explicit AsyncReader(const NodeStore& store, ThreadPool* pool = nullptr)
-      : store_(store), pool_(pool) {}
-
-  /// Issues a fetch for `hash`; await the returned future where the node
-  /// is actually needed.
-  std::future<ReadResult> issue(const Hash256& hash);
-
- private:
-  const NodeStore& store_;
-  ThreadPool* pool_;
 };
 
 }  // namespace blockpilot::db

@@ -53,8 +53,8 @@ class PagedNodeStore final : public NodeStore {
  public:
   struct Options {
     std::size_t page_size = 4096;
-    /// Background sweeper + async readers run here; nullptr disables the
-    /// automatic sweep (compact()/maybe_compact() still work inline).
+    /// The background sweeper runs here; nullptr disables the automatic
+    /// sweep (compact()/maybe_compact() still work inline).
     ThreadPool* pool = nullptr;
     /// Liveness horizon: roots from the last N commits (and nodes appended
     /// within the last N commit generations) survive compaction.  Must be

@@ -169,14 +169,15 @@ class EventDriver {
     proposer_commits_ =
         std::make_unique<commit::CommitPipeline>(commit_pool_.get());
 
-    pcfg_.threads = config_.proposer_threads;
-    pcfg_.mode = config_.proposer_mode;
-    pcfg_.commit_pipeline = proposer_commits_.get();
-    pcfg_.analysis_cache = &proposer_analysis_;
-    // Under kAdaptive each proposer carries its own conflict-ratio signal
-    // across rounds; a fresh engine is built per proposal, so the state
-    // lives here and is injected via the config slot.
-    adaptive_ratio_.assign(P_, 0.0);
+    core::ProposerConfig pcfg;
+    pcfg.threads = config_.proposer_threads;
+    pcfg.mode = config_.proposer_mode;
+    pcfg.commit_pipeline = proposer_commits_.get();
+    pcfg.analysis_cache = &proposer_analysis_;
+    // One proposer per node, kept across rounds: under kAdaptive its engine
+    // carries that node's conflict-ratio signal from block to block.
+    proposers_.reserve(P_);
+    for (std::size_t p = 0; p < P_; ++p) proposers_.emplace_back(pcfg);
 
     nodes_.reserve(V_);
     for (std::size_t v = 0; v < V_; ++v) {
@@ -329,11 +330,7 @@ class EventDriver {
       const NodeId proposer_id = (ev.height * ppr_ + k) % P_;
       txpool::TxPool pool;
       pool.add_all(gen_.next_block());
-      core::ProposerConfig pcfg = pcfg_;
-      if (pcfg.mode == core::ScheduleMode::kAdaptive)
-        pcfg.adaptive_ratio_slot = &adaptive_ratio_[proposer_id];
-      core::BlockProposer proposer(pcfg);
-      core::ProposedBlock blk = proposer.propose(
+      core::ProposedBlock blk = proposers_[proposer_id].propose(
           nodes_[0]->session->tip(),
           ctx_for(ev.height, Address::from_id(0xFEE000 + proposer_id)), pool,
           workers_);
@@ -786,10 +783,7 @@ class EventDriver {
   std::unique_ptr<ThreadPool> commit_pool_;
   std::unique_ptr<commit::CommitPipeline> proposer_commits_;
   evm::CodeAnalysisCache proposer_analysis_;
-  core::ProposerConfig pcfg_;
-  // Per-proposer conflict-ratio memory for ScheduleMode::kAdaptive (engines
-  // are rebuilt each proposal; the signal must outlive them).
-  std::vector<double> adaptive_ratio_;
+  std::vector<core::BlockProposer> proposers_;
   std::vector<std::unique_ptr<VNode>> nodes_;
   std::vector<HeightSim> hs_;
   std::priority_queue<Ev, std::vector<Ev>, EvLater> queue_;

@@ -7,38 +7,34 @@
 namespace blockpilot::rlp {
 namespace {
 
-void append_length(Bytes& out, std::size_t len, std::uint8_t short_base,
-                   std::uint8_t long_base) {
+// Writes the length prefix for a payload of `len` bytes into `out`; returns
+// the prefix size (1..9).
+std::size_t length_prefix(std::uint8_t (&out)[9], std::size_t len,
+                          std::uint8_t short_base, std::uint8_t long_base) {
   if (len <= 55) {
-    out.push_back(static_cast<std::uint8_t>(short_base + len));
-    return;
+    out[0] = static_cast<std::uint8_t>(short_base + len);
+    return 1;
   }
-  std::uint8_t be[8];
-  int n = 0;
+  std::size_t n = 0;
   for (std::size_t v = len; v != 0; v >>= 8) ++n;
-  for (int i = 0; i < n; ++i)
-    be[n - 1 - i] = static_cast<std::uint8_t>(len >> (8 * i));
-  out.push_back(static_cast<std::uint8_t>(long_base + n));
-  out.insert(out.end(), be, be + n);
+  out[0] = static_cast<std::uint8_t>(long_base + n);
+  for (std::size_t i = 0; i < n; ++i)
+    out[n - i] = static_cast<std::uint8_t>(len >> (8 * i));
+  return 1 + n;
 }
 
-Bytes minimal_be(const U256& value) {
-  const auto full = value.to_be_bytes();
-  std::size_t first = 0;
-  while (first < 32 && full[first] == 0) ++first;
-  return Bytes(full.begin() + static_cast<std::ptrdiff_t>(first), full.end());
-}
 
 }  // namespace
 
 void Encoder::append_string(std::span<const std::uint8_t> str) {
-  Bytes& dst = out();
   if (str.size() == 1 && str[0] < 0x80) {
-    dst.push_back(str[0]);
+    buffer_.push_back(str[0]);
     return;
   }
-  append_length(dst, str.size(), 0x80, 0xb7);
-  dst.insert(dst.end(), str.begin(), str.end());
+  std::uint8_t prefix[9];
+  const std::size_t n = length_prefix(prefix, str.size(), 0x80, 0xb7);
+  buffer_.insert(buffer_.end(), prefix, prefix + n);
+  buffer_.insert(buffer_.end(), str.begin(), str.end());
 }
 
 Encoder& Encoder::add(std::span<const std::uint8_t> str) {
@@ -55,8 +51,11 @@ Encoder& Encoder::add(std::string_view str) {
 Encoder& Encoder::add(std::uint64_t value) { return add(U256{value}); }
 
 Encoder& Encoder::add(const U256& value) {
-  const Bytes be = minimal_be(value);
-  append_string(std::span(be));
+  // Minimal big-endian form: leading zero bytes dropped.
+  const auto full = value.to_be_bytes();
+  std::size_t first = 0;
+  while (first < full.size() && full[first] == 0) ++first;
+  append_string(std::span(full).subspan(first));
   return *this;
 }
 
@@ -71,28 +70,29 @@ Encoder& Encoder::add(const Hash256& hash) {
 }
 
 Encoder& Encoder::add_raw(std::span<const std::uint8_t> encoded) {
-  Bytes& dst = out();
-  dst.insert(dst.end(), encoded.begin(), encoded.end());
+  buffer_.insert(buffer_.end(), encoded.begin(), encoded.end());
   return *this;
 }
 
 Encoder& Encoder::begin_list() {
-  stack_.emplace_back();
+  open_lists_.push_back(buffer_.size());
   return *this;
 }
 
 Encoder& Encoder::end_list() {
-  BP_ASSERT_MSG(!stack_.empty(), "end_list without begin_list");
-  Bytes payload = std::move(stack_.back());
-  stack_.pop_back();
-  Bytes& dst = out();
-  append_length(dst, payload.size(), 0xc0, 0xf7);
-  dst.insert(dst.end(), payload.begin(), payload.end());
+  BP_ASSERT_MSG(!open_lists_.empty(), "end_list without begin_list");
+  const std::size_t start = open_lists_.back();
+  open_lists_.pop_back();
+  std::uint8_t prefix[9];
+  const std::size_t n =
+      length_prefix(prefix, buffer_.size() - start, 0xc0, 0xf7);
+  buffer_.insert(buffer_.begin() + static_cast<std::ptrdiff_t>(start), prefix,
+                 prefix + n);
   return *this;
 }
 
 Bytes Encoder::take() {
-  BP_ASSERT_MSG(stack_.empty(), "take() with unclosed list");
+  BP_ASSERT_MSG(open_lists_.empty(), "take() with unclosed list");
   return std::move(buffer_);
 }
 
@@ -110,119 +110,131 @@ Bytes encode(const U256& value) {
   return e.take();
 }
 
-namespace {
+// ---- Reader ---------------------------------------------------------------
 
-// Parses one item starting at data[pos]; advances pos past it.
-Item parse(std::span<const std::uint8_t> data, std::size_t& pos) {
-  BP_ASSERT_MSG(pos < data.size(), "truncated RLP");
-  const std::uint8_t tag = data[pos];
-
-  auto read_len = [&](std::size_t n_bytes) {
-    BP_ASSERT_MSG(pos + n_bytes <= data.size(), "truncated RLP length");
-    std::size_t len = 0;
-    for (std::size_t i = 0; i < n_bytes; ++i) len = (len << 8) | data[pos++];
-    return len;
-  };
-  auto read_str = [&](std::size_t len) {
-    BP_ASSERT_MSG(pos + len <= data.size(), "truncated RLP string");
-    Bytes s(data.begin() + static_cast<std::ptrdiff_t>(pos),
-            data.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-    return s;
-  };
-  auto read_list = [&](std::size_t len) {
-    BP_ASSERT_MSG(pos + len <= data.size(), "truncated RLP list");
-    const std::size_t end = pos + len;
-    Item item;
-    item.is_list = true;
-    while (pos < end) item.list.push_back(parse(data, pos));
-    BP_ASSERT_MSG(pos == end, "RLP list payload overrun");
-    return item;
-  };
-
-  if (tag < 0x80) {  // single byte
-    ++pos;
-    Item item;
-    item.str.push_back(tag);
-    return item;
+bool Reader::peek(std::size_t pos, Head& head) const noexcept {
+  if (*failed_ || pos == data_.size()) return false;
+  const std::size_t remaining = data_.size() - pos;
+  const std::uint8_t tag = data_[pos];
+  if (tag < 0x80) {  // single byte: the byte is its own payload
+    head = {false, 0, 1};
+    return true;
   }
-  if (tag <= 0xb7) {  // short string
-    ++pos;
-    Item item;
-    item.str = read_str(tag - 0x80);
-    return item;
+  head.is_list = tag >= 0xc0;
+  const std::size_t code = tag - (head.is_list ? 0xc0 : 0x80);
+  std::size_t len = code;
+  head.header = 1;
+  if (code > 55) {  // long form: code - 55 big-endian length bytes follow
+    const std::size_t len_bytes = code - 55;
+    if (len_bytes > remaining - 1) return false;
+    if (data_[pos + 1] == 0) return false;  // non-minimal: leading zero
+    len = 0;
+    for (std::size_t i = 0; i < len_bytes; ++i)
+      len = (len << 8) | data_[pos + 1 + i];
+    if (len <= 55) return false;  // non-minimal: fits the short form
+    head.header += len_bytes;
   }
-  if (tag <= 0xbf) {  // long string
-    ++pos;
-    const std::size_t len = read_len(tag - 0xb7);
-    Item item;
-    item.str = read_str(len);
-    return item;
-  }
-  if (tag <= 0xf7) {  // short list
-    ++pos;
-    return read_list(tag - 0xc0);
-  }
-  ++pos;  // long list
-  const std::size_t len = read_len(tag - 0xf7);
-  return read_list(len);
+  if (len > remaining - head.header) return false;
+  // Non-minimal: a single byte below 0x80 encodes itself.
+  if (!head.is_list && len == 1 && data_[pos + 1] < 0x80) return false;
+  head.payload = len;
+  return true;
 }
 
-}  // namespace
+bool Reader::next_is_list() const noexcept {
+  Head head;
+  return peek(pos_, head) && head.is_list;
+}
 
-Item decode(std::span<const std::uint8_t> data) {
-  std::size_t pos = 0;
-  Item item = parse(data, pos);
-  BP_ASSERT_MSG(pos == data.size(), "trailing bytes after RLP item");
+std::size_t Reader::count() {
+  std::size_t n = 0;
+  Head head;
+  for (std::size_t pos = pos_; pos != data_.size(); ++n) {
+    if (!peek(pos, head)) {
+      fail();
+      return 0;
+    }
+    pos += head.header + head.payload;
+  }
+  return n;
+}
+
+void Reader::fail() noexcept {
+  *failed_ = true;
+  pos_ = data_.size();
+}
+
+void Reader::finish() noexcept {
+  if (!at_end()) fail();
+}
+
+std::span<const std::uint8_t> Reader::take(bool want_list) noexcept {
+  Head head;
+  if (!peek(pos_, head) || head.is_list != want_list) {
+    fail();
+    return {};
+  }
+  const auto payload = data_.subspan(pos_ + head.header, head.payload);
+  pos_ += head.header + head.payload;
+  return payload;
+}
+
+Reader Reader::list() {
+  const auto payload = take(/*want_list=*/true);
+  return Reader(payload, failed_);
+}
+
+std::span<const std::uint8_t> Reader::bytes() { return take(false); }
+
+std::span<const std::uint8_t> Reader::bytes(std::size_t n) {
+  const auto str = take(false);
+  if (str.size() == n) return str;
+  fail();
+  return {};
+}
+
+std::span<const std::uint8_t> Reader::raw() {
+  Head head;
+  if (!peek(pos_, head)) {
+    fail();
+    return {};
+  }
+  const auto item = data_.subspan(pos_, head.header + head.payload);
+  pos_ += item.size();
   return item;
 }
 
-namespace {
-
-void encode_item_into(Encoder& enc, const Item& item) {
-  if (!item.is_list) {
-    enc.add(std::span(item.str));
-    return;
+std::uint64_t Reader::u64() {
+  const auto str = take(false);
+  if (str.size() > 8) {
+    fail();
+    return 0;
   }
-  enc.begin_list();
-  for (const Item& child : item.list) encode_item_into(enc, child);
-  enc.end_list();
-}
-
-}  // namespace
-
-Bytes encode_item(const Item& item) {
-  Encoder enc;
-  encode_item_into(enc, item);
-  return enc.take();
-}
-
-std::uint64_t Item::as_u64() const {
-  BP_ASSERT(!is_list);
-  BP_ASSERT_MSG(str.size() <= 8, "integer wider than 64 bits");
   std::uint64_t v = 0;
-  for (auto b : str) v = (v << 8) | b;
+  for (const std::uint8_t b : str) v = (v << 8) | b;
   return v;
 }
 
-U256 Item::as_u256() const {
-  BP_ASSERT(!is_list);
-  return U256::from_be_bytes(std::span(str));
+U256 Reader::u256() {
+  const auto str = take(false);
+  if (str.size() > 32) {
+    fail();
+    return U256{};
+  }
+  return U256::from_be_bytes(str);
 }
 
-Address Item::as_address() const {
-  BP_ASSERT(!is_list);
-  BP_ASSERT_MSG(str.size() == 20, "address item must be 20 bytes");
+Address Reader::address() {
   Address a;
-  std::memcpy(a.bytes.data(), str.data(), 20);
+  const auto str = bytes(20);
+  if (!str.empty()) std::memcpy(a.bytes.data(), str.data(), 20);
   return a;
 }
 
-Hash256 Item::as_hash() const {
-  BP_ASSERT(!is_list);
-  BP_ASSERT_MSG(str.size() == 32, "hash item must be 32 bytes");
+Hash256 Reader::hash() {
   Hash256 h;
-  std::memcpy(h.bytes.data(), str.data(), 32);
+  const auto str = bytes(32);
+  if (!str.empty()) std::memcpy(h.bytes.data(), str.data(), 32);
   return h;
 }
 

@@ -363,52 +363,69 @@ void append_reference(rlp::Encoder& enc, const Node* node) {
 
 namespace {
 
-std::shared_ptr<MptNode> child_from_item(const rlp::Item& item,
-                                         const db::NodeStore* store);
+std::shared_ptr<MptNode> read_child(rlp::Reader& in,
+                                    const db::NodeStore* store);
 
-// Fills `node`'s structural fields from a decoded node encoding.  Child
-// items are either nil (empty string), a 32-byte hash (becomes an unloaded
-// stub on the same store), or a nested list (an inline node, rebuilt
-// eagerly with its inline ref memoized so re-encoding is bit-identical).
-void fill_from_item(MptNode& node, const rlp::Item& item,
-                    const db::NodeStore* store) {
-  BP_ASSERT_MSG(item.is_list, "node encoding must be an RLP list");
-  if (item.list.size() == 17) {
+// Fills `node`'s structural fields from one node encoding read off `in`.
+// Child items are either nil (empty string), a 32-byte hash (becomes an
+// unloaded stub on the same store), or a nested list (an inline node,
+// rebuilt eagerly with its encoding as the inline ref memo, so re-encoding
+// is bit-identical).
+void read_node(MptNode& node, rlp::Reader& in, const db::NodeStore* store) {
+  rlp::Reader items = in.list();
+  const std::size_t n = items.count();
+  if (n == 17) {
     node.kind = MptNode::Kind::kBranch;
     for (std::size_t i = 0; i < 16; ++i)
-      node.children[i] = child_from_item(item.list[i], store);
-    node.value = item.list[16].str;
+      node.children[i] = read_child(items, store);
+    const auto value = items.bytes();
+    node.value.assign(value.begin(), value.end());
     return;
   }
-  BP_ASSERT_MSG(item.list.size() == 2, "node list must have 2 or 17 items");
-  auto [path, is_leaf] = hex_prefix_decode(std::span(item.list[0].str));
+  const auto hp = items.bytes();
+  if (n != 2 || hp.empty()) {  // a node is a branch, a leaf or an extension
+    items.fail();
+    return;
+  }
+  auto [path, is_leaf] = hex_prefix_decode(hp);
+  node.path = std::move(path);
   if (is_leaf) {
     node.kind = MptNode::Kind::kLeaf;
-    node.path = std::move(path);
-    node.value = item.list[1].str;
+    const auto value = items.bytes();
+    node.value.assign(value.begin(), value.end());
     return;
   }
   node.kind = MptNode::Kind::kExtension;
-  node.path = std::move(path);
-  node.child = child_from_item(item.list[1], store);
-  BP_ASSERT_MSG(node.child != nullptr, "extension child must be a node");
+  node.child = read_child(items, store);
+  if (node.child == nullptr) items.fail();  // an extension needs a child
 }
 
-std::shared_ptr<MptNode> child_from_item(const rlp::Item& item,
-                                         const db::NodeStore* store) {
-  if (item.is_list) {
+std::shared_ptr<MptNode> read_child(rlp::Reader& in,
+                                    const db::NodeStore* store) {
+  if (in.next_is_list()) {
+    // Only an encoding under 32 bytes is inlined; checking that before
+    // descending also bounds how deep inline nodes can nest.
+    const auto raw = in.raw();
+    if (raw.size() >= 32) {
+      in.fail();
+      return nullptr;
+    }
     auto n = std::make_shared<MptNode>();
-    fill_from_item(*n, item, store);
-    n->cached_ref = rlp::encode_item(item);
-    BP_ASSERT(n->cached_ref.size() < 32);
+    rlp::Reader child(raw);
+    read_node(*n, child, store);
+    if (!child.ok()) in.fail();
+    n->cached_ref.assign(raw.begin(), raw.end());
     n->ref_ready.store(true, std::memory_order_release);
     return n;
   }
-  if (item.str.empty()) return nullptr;
-  BP_ASSERT_MSG(item.str.size() == 32,
-                "child ref must be nil, inline, or a 32-byte hash");
+  const auto ref = in.bytes();
+  if (ref.empty()) return nullptr;
+  if (ref.size() != 32) {  // nil, inline, or a 32-byte hash
+    in.fail();
+    return nullptr;
+  }
   Hash256 h;
-  std::memcpy(h.bytes.data(), item.str.data(), 32);
+  std::memcpy(h.bytes.data(), ref.data(), 32);
   return MptNode::stub(h, store);
 }
 
@@ -436,7 +453,10 @@ void load_stub(const MptNode* node) {
       cache.put(h, std::span(enc));
     }
     auto* mut = const_cast<MptNode*>(node);
-    fill_from_item(*mut, rlp::decode(std::span(enc)), node->store);
+    rlp::Reader in{std::span(enc)};
+    read_node(*mut, in, node->store);
+    in.finish();
+    BP_ASSERT_MSG(in.ok(), "malformed trie node encoding");
     // A tiny (< 32 byte) encoding can only be a root loaded eagerly by
     // from_root (a child stub implies a hashed parent ref): rewrite the
     // memo to the canonical inline form before anyone else can see it.

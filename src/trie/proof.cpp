@@ -63,24 +63,23 @@ struct ChildRef {
   bool empty = true;
 };
 
-ChildRef ref_from_item(const rlp::Item& item) {
+// Reads a child reference off a node's item list.  Anything that is neither
+// an inline node, a nil string nor a 32-byte hash leaves `ref.empty` set.
+ChildRef read_ref(rlp::Reader& items) {
   ChildRef ref;
-  if (item.is_list) {
+  if (items.next_is_list()) {
     // Inline (< 32 byte) node embedded in the parent.
+    const auto raw = items.raw();
     ref.empty = false;
-    ref.is_hash = false;
-    ref.inline_encoding = rlp::encode_item(item);
+    ref.inline_encoding.assign(raw.begin(), raw.end());
     return ref;
   }
-  if (item.str.empty()) return ref;  // nil child
-  if (item.str.size() == 32) {
+  const auto str = items.bytes();
+  if (str.size() == 32) {
     ref.empty = false;
     ref.is_hash = true;
-    std::memcpy(ref.hash.data(), item.str.data(), 32);
-    return ref;
+    std::memcpy(ref.hash.data(), str.data(), 32);
   }
-  // A string that is neither empty nor 32 bytes cannot reference a node.
-  ref.empty = true;
   return ref;
 }
 
@@ -117,49 +116,60 @@ ProofVerdict verify_proof(const Hash256& root,
       return verdict;
     }
 
-    const rlp::Item item = rlp::decode(std::span(encoded));
-    if (!item.is_list) return verdict;
+    // Proof nodes come from outside the process: a malformed one is a
+    // failed verification, never an abort.
+    rlp::Reader in{std::span(encoded)};
+    rlp::Reader items = in.list();
+    in.finish();
+    const std::size_t n = items.count();
+    const bool last = i + 1 == proof.nodes.size();
 
-    if (item.list.size() == 17) {  // branch
+    if (n == 17) {  // branch
       if (remaining.empty()) {
+        for (int skip = 0; skip < 16; ++skip) items.raw();
+        const auto value = items.bytes();
+        if (!items.ok()) return verdict;
         verdict.ok = true;
-        if (!item.list[16].str.empty()) verdict.value = item.list[16].str;
+        if (!value.empty()) verdict.value = Bytes(value.begin(), value.end());
         return verdict;
       }
       const std::uint8_t nib = remaining[0];
       remaining = remaining.subspan(1);
-      expected = ref_from_item(item.list[nib]);
+      for (std::uint8_t skip = 0; skip < nib; ++skip) items.raw();
+      expected = read_ref(items);
+      if (!items.ok()) return verdict;
       if (expected.empty) {
         // Nil child on the key's path: valid absence proof iff this is the
         // final proof node.
-        verdict.ok = (i + 1 == proof.nodes.size());
+        verdict.ok = last;
         return verdict;
       }
       continue;
     }
 
-    if (item.list.size() == 2) {  // leaf or extension
-      const auto [path, is_leaf] = hex_prefix_decode(std::span(item.list[0].str));
-      if (is_leaf) {
-        verdict.ok = (i + 1 == proof.nodes.size());
-        if (verdict.ok && path.size() == remaining.size() &&
-            std::equal(path.begin(), path.end(), remaining.begin())) {
-          verdict.value = item.list[1].str;
-        }
-        return verdict;
+    if (n != 2) return verdict;  // malformed node
+    const auto hp = items.bytes();
+    if (hp.empty()) return verdict;  // no hex-prefix flag nibble
+    const auto [path, is_leaf] = hex_prefix_decode(hp);
+    if (is_leaf) {  // leaf
+      const auto value = items.bytes();
+      if (!items.ok()) return verdict;
+      verdict.ok = last;
+      if (verdict.ok && path.size() == remaining.size() &&
+          std::equal(path.begin(), path.end(), remaining.begin())) {
+        verdict.value = Bytes(value.begin(), value.end());
       }
-      // Extension.
-      const std::size_t cp = common_prefix(path, remaining);
-      if (cp < path.size()) {
-        verdict.ok = (i + 1 == proof.nodes.size());  // divergence: absence
-        return verdict;
-      }
-      remaining = remaining.subspan(path.size());
-      expected = ref_from_item(item.list[1]);
-      if (expected.empty) return verdict;  // extensions must have a child
-      continue;
+      return verdict;
     }
-    return verdict;  // malformed node
+    // Extension.
+    const std::size_t cp = common_prefix(path, remaining);
+    if (cp < path.size()) {
+      verdict.ok = last;  // divergence: absence
+      return verdict;
+    }
+    remaining = remaining.subspan(path.size());
+    expected = read_ref(items);
+    if (!items.ok() || expected.empty) return verdict;  // needs a child
   }
 
   // Ran out of proof nodes while a child reference was still pending.

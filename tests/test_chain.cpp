@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chain/block.hpp"
 #include "chain/blockchain.hpp"
 #include "chain/codec.hpp"
@@ -295,9 +297,19 @@ TEST(FilterLogs, FindsTokenTransfersByAddressAndTopic) {
 // ---- wire codec ----
 
 TEST(Codec, TransactionRoundTrip) {
-  const Transaction tx = sample_tx(3);
-  const Bytes wire = tx.rlp_encode();
-  const Transaction back = decode_transaction(rlp::decode(std::span(wire)));
+  // The block codec frames each transaction with Transaction::encode_into,
+  // the same definition behind rlp_encode() and the transaction hash.
+  Block block;
+  block.transactions.push_back(sample_tx(3));
+  const Transaction& tx = block.transactions[0];
+  const Bytes wire = encode_block(block);
+  const Bytes tx_wire = tx.rlp_encode();
+  EXPECT_NE(std::search(wire.begin(), wire.end(), tx_wire.begin(),
+                        tx_wire.end()),
+            wire.end());
+  const Block decoded = decode_block(std::span(wire));
+  ASSERT_EQ(decoded.transactions.size(), 1u);
+  const Transaction& back = decoded.transactions[0];
   EXPECT_EQ(back.nonce, tx.nonce);
   EXPECT_EQ(back.gas_price, tx.gas_price);
   EXPECT_EQ(back.gas_limit, tx.gas_limit);
@@ -350,27 +362,32 @@ TEST(Codec, ProfileRoundTrip) {
   EXPECT_TRUE(back.txs[1].writes.empty());
 }
 
-TEST(Codec, AnnouncementRoundTripOnRealBlock) {
-  // A real proposer output survives the wire intact — what validators in
-  // the network substrate actually consume.
-  workload::WorkloadGenerator gen(workload::preset_mainnet());
+// A sealed block of `n_txs` preset_mainnet transactions with its profile:
+// a real proposer output, what validators in the network substrate consume.
+BlockAnnouncement mainnet_announcement(std::uint64_t seed, std::size_t n_txs) {
+  workload::WorkloadConfig wc = workload::preset_mainnet();
+  wc.seed = seed;
+  workload::WorkloadGenerator gen(wc);
   const state::WorldState genesis = gen.genesis();
   evm::BlockContext ctx;
   ctx.number = 1;
   ctx.coinbase = Address::from_id(0xC0FFEE);
-  const auto txs = gen.next_batch(40);
+  const auto txs = gen.next_batch(n_txs);
   const core::SerialResult serial =
       core::execute_serial(genesis, ctx, std::span(txs));
-
   BlockAnnouncement ann;
-  ann.block.header.number = 1;
-  ann.block.header.coinbase = ctx.coinbase;
-  ann.block.header.gas_used = serial.exec.gas_used;
-  ann.block.header.state_root = serial.exec.state_root;
-  ann.block.header.tx_root = transactions_root(serial.included);
-  ann.block.transactions = serial.included;
+  ann.block = core::seal_block(ctx, serial.exec, serial.included);
   ann.profile = serial.exec.profile;
+  return ann;
+}
 
+std::string digest_hex(const Bytes& wire) {
+  return Hash256::of(std::span(wire)).to_hex();
+}
+
+TEST(Codec, AnnouncementRoundTripOnRealBlock) {
+  const BlockAnnouncement ann =
+      mainnet_announcement(workload::WorkloadConfig{}.seed, 40);
   const Bytes wire = encode_announcement(ann);
   const BlockAnnouncement back = decode_announcement(std::span(wire));
   EXPECT_EQ(back.block.header.hash(), ann.block.header.hash());
@@ -380,6 +397,23 @@ TEST(Codec, AnnouncementRoundTripOnRealBlock) {
     EXPECT_EQ(back.profile.txs[i].writes, ann.profile.txs[i].writes);
     EXPECT_EQ(back.profile.txs[i].gas_used, ann.profile.txs[i].gas_used);
   }
+}
+
+// The wire format is a contract between nodes: these digests were captured
+// from the Item-tree codec and pin every byte of a 128-tx mainnet block.
+TEST(Codec, GoldenWireDigests) {
+  const BlockAnnouncement ann = mainnet_announcement(2024, 128);
+  ASSERT_EQ(ann.block.transactions.size(), 128u);
+  const Bytes wire = encode_announcement(ann);
+  EXPECT_EQ(wire.size(), 44826u);
+  EXPECT_EQ(digest_hex(encode_block(ann.block)),
+            "0x453a3d64f7a19baf645aa3e15b39df6f47644866422c4872b2c9cefc868243a4");
+  EXPECT_EQ(digest_hex(encode_profile(ann.profile)),
+            "0xf1a4a957abf14347edda5eb3aedb397b678008e439249a7243dde7a57e957dca");
+  EXPECT_EQ(digest_hex(wire),
+            "0x9fd87678a76d633579676cc892ecfd6d2d22ffc591a9ea889c4a73753d85870d");
+  // Decoding loses nothing: the decoded announcement re-encodes to the wire.
+  EXPECT_EQ(encode_announcement(decode_announcement(std::span(wire))), wire);
 }
 
 }  // namespace

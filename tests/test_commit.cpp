@@ -821,15 +821,17 @@ TEST(CommitPipeline, FifoOrderingAcrossSubmissions) {
     EXPECT_EQ(handles[n].get().sequence, n);
 }
 
-TEST(CommitPipeline, SubmitWritesAppliesOnTopOfParent) {
+TEST(CommitPipeline, SubmittedCopyAppliesOnTopOfParent) {
   commit::CommitPipeline pipe;
   WorldState parent;
   parent.set(StateKey::balance(addr_of(1)), U256{100});
   (void)parent.state_root();
 
-  auto handle = pipe.submit_writes(
-      parent, {{StateKey::balance(addr_of(1)), U256{90}},
-               {StateKey::balance(addr_of(2)), U256{10}}});
+  // A copy shares the parent's tries and storage shards (world_state.hpp).
+  auto post = std::make_shared<WorldState>(parent);
+  post->set(StateKey::balance(addr_of(1)), U256{90});
+  post->set(StateKey::balance(addr_of(2)), U256{10});
+  auto handle = pipe.submit(post);
   WorldState expected = parent;
   expected.set(StateKey::balance(addr_of(1)), U256{90});
   expected.set(StateKey::balance(addr_of(2)), U256{10});

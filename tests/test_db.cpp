@@ -303,26 +303,6 @@ TEST(NodeStore, DedupAndMissSemanticsMatchAcrossBackends) {
   }
 }
 
-TEST(AsyncReader, IssueOverThreadPool) {
-  db::InMemoryNodeStore store;
-  Xoshiro256 rng(5);
-  std::vector<Hash256> hashes;
-  for (int i = 0; i < 64; ++i) {
-    const Hash256 h = hash_from(rng());
-    const Bytes enc = random_bytes(rng, 50);
-    ASSERT_TRUE(store.put(h, std::span(enc)).ok());
-    hashes.push_back(h);
-  }
-  ThreadPool pool(4);
-  db::AsyncReader reader(store, &pool);
-  // Issue-then-await tickets.
-  std::vector<std::future<db::ReadResult>> futs;
-  for (const Hash256& h : hashes) futs.push_back(reader.issue(h));
-  for (auto& f : futs) EXPECT_TRUE(f.get().status.ok());
-  EXPECT_EQ(reader.issue(hash_from(0xdead)).get().status.code,
-            ErrorCode::kNotFound);
-}
-
 // ------------------------------------------------- 512-block differential
 
 /// Deterministic per-block op stream so a crash can replay exactly.

@@ -90,6 +90,33 @@ TEST_F(ProofFixture, TruncatedProofRejected) {
   EXPECT_FALSE(verdict.ok && verdict.value.has_value());
 }
 
+// Proof bytes come from outside the process: a malformed node that even
+// hashes to the claimed root is a failed verification, not an abort.
+TEST(Proof, MalformedNodeFailsVerification) {
+  Bytes overflowing = {0xbf, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf8};
+  overflowing.resize(overflowing.size() + 16, 0xaa);
+  Bytes branch_with_trailing_byte(1, 0xd1);  // 17 empty strings, then 0x00
+  branch_with_trailing_byte.resize(18, 0x80);
+  branch_with_trailing_byte.push_back(0x00);
+  const std::vector<std::pair<const char*, Bytes>> bad_nodes = {
+      {"list header with no payload", {0xc1}},
+      {"overflowing long-string length", overflowing},
+      {"3-item list", {0xc3, 0x80, 0x80, 0x80}},
+      {"leaf with an empty path", {0xc2, 0x80, 0x80}},
+      {"string instead of a list", {0x83, 0x61, 0x62, 0x63}},
+      {"truncated branch", {0xd1, 0x80, 0x80}},
+      {"branch with a trailing byte", branch_with_trailing_byte},
+  };
+  const Bytes key = bytes("dog");
+  for (const auto& [name, bad] : bad_nodes) {
+    const Hash256 root = Hash256::of(std::span(bad));
+    const ProofVerdict verdict =
+        verify_proof(root, std::span(key), Proof{{bad}});
+    EXPECT_FALSE(verdict.ok) << name;
+    EXPECT_FALSE(verdict.value.has_value()) << name;
+  }
+}
+
 TEST(Proof, EmptyTrieAbsence) {
   MerklePatriciaTrie trie;
   const Bytes kb = bytes("anything");
@@ -137,7 +164,10 @@ TEST(Proof, WorldStateAccountProof) {
       verify_proof(root, std::span(target_bytes), proof);
   ASSERT_TRUE(verdict.ok);
   ASSERT_TRUE(verdict.value.has_value());
-  EXPECT_EQ(rlp::decode(std::span(*verdict.value)).as_u256(), U256{777});
+  rlp::Reader value{std::span(*verdict.value)};
+  EXPECT_EQ(value.u256(), U256{777});
+  value.finish();
+  EXPECT_TRUE(value.ok());
   // Proof is logarithmic, not linear, in the trie size.
   EXPECT_LT(proof.nodes.size(), 12u);
 }

@@ -5,7 +5,7 @@
 // flight, concurrent rooters and forks sharing persistent tries, copies
 // writing into copy-on-write storage shards their source is hashing,
 // children adopting the fold of a parent that is still hashing, and
-// producer/consumer hammering of ThreadPool / MpmcQueue.
+// producer hammering of the ThreadPool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "db/node_store.hpp"
 #include "state/versioned_state.hpp"
 #include "state/world_state.hpp"
-#include "support/mpmc_queue.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -293,7 +292,7 @@ TEST(StressWorldState, CommitPipelineOverlapsCopiesAndSubmissions) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool / MpmcQueue hammering
+// ThreadPool hammering
 
 TEST(StressSupport, ThreadPoolHammerFromManyProducers) {
   ThreadPool pool(4);
@@ -330,70 +329,6 @@ TEST(StressSupport, ThreadPoolNestedSubmissionsDrain) {
   }
   pool.wait_idle();
   EXPECT_EQ(executed.load(), 128);
-}
-
-TEST(StressSupport, MpmcQueueConservesItemsUnderContention) {
-  MpmcQueue<std::uint64_t> queue(64);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kItemsEach = 2000;
-  std::atomic<std::uint64_t> consumed_sum{0};
-  std::atomic<std::uint64_t> consumed_count{0};
-
-  std::vector<std::jthread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&queue, &consumed_sum, &consumed_count] {
-      while (auto item = queue.pop()) {
-        consumed_sum.fetch_add(*item, std::memory_order_relaxed);
-        consumed_count.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  {
-    std::vector<std::jthread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&queue, p] {
-        for (std::uint64_t i = 0; i < kItemsEach; ++i)
-          ASSERT_TRUE(queue.push(p * kItemsEach + i + 1));
-      });
-    }
-  }  // join producers
-  queue.close();
-  consumers.clear();  // join consumers
-
-  constexpr std::uint64_t kTotal = kProducers * kItemsEach;
-  EXPECT_EQ(consumed_count.load(), kTotal);
-  EXPECT_EQ(consumed_sum.load(), kTotal * (kTotal + 1) / 2);
-}
-
-TEST(StressSupport, MpmcQueueMixedPopAndTryPop) {
-  MpmcQueue<int> queue(16);
-  std::atomic<int> got{0};
-  std::vector<std::jthread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&queue, &got, c] {
-      for (;;) {
-        if (c == 0) {
-          // One consumer spins on try_pop to exercise the non-blocking path.
-          if (auto item = queue.try_pop()) {
-            got.fetch_add(1, std::memory_order_relaxed);
-          } else if (queue.closed() && queue.size() == 0) {
-            return;
-          } else {
-            std::this_thread::yield();
-          }
-        } else {
-          auto item = queue.pop();
-          if (!item.has_value()) return;
-          got.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (int i = 0; i < 3000; ++i) ASSERT_TRUE(queue.push(i));
-  queue.close();
-  consumers.clear();
-  EXPECT_EQ(got.load(), 3000);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/mpmc_queue.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "vtime/vtime.hpp"
@@ -216,60 +215,6 @@ TEST(ThreadPool, ForkJoinRethrowsAfterEveryLaneReturns) {
                               }),
                std::runtime_error);
   EXPECT_EQ(finished.load(), 2);  // the join outlived the failure
-}
-
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.try_pop(), 3);
-  EXPECT_EQ(q.try_pop(), std::nullopt);
-}
-
-TEST(MpmcQueue, CloseDrainsThenEnds) {
-  MpmcQueue<int> q;
-  q.push(7);
-  q.close();
-  EXPECT_FALSE(q.push(8));
-  EXPECT_EQ(q.pop(), 7);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(MpmcQueue, ProducersConsumersAgree) {
-  MpmcQueue<int> q(64);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  std::atomic<long long> sum{0};
-  std::atomic<int> consumed{0};
-
-  std::vector<std::jthread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum.fetch_add(*v);
-        consumed.fetch_add(1);
-      }
-    });
-  }
-  // Join producers (first kProducers threads), then close.
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  q.close();
-  threads.clear();
-
-  const int total = kProducers * kPerProducer;
-  EXPECT_EQ(consumed.load(), total);
-  long long expect = 0;
-  for (int i = 0; i < total; ++i) expect += i;
-  EXPECT_EQ(sum.load(), expect);
 }
 
 TEST(WorkLedger, TracksPerWorkerClocks) {
