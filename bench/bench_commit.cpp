@@ -38,6 +38,13 @@
 //     the sealing path: the overlapped wall must stay within ~5% of the
 //     store-less run, and the JSON records the regression alongside the
 //     persist totals.
+//
+//  5. Commit lanes — one block's commitment as a validator replica runs it
+//     (state root, then persist into a PagedNodeStore) on 1 lane (inline
+//     pipeline) and on nproc lanes (a pool of nproc workers, the commit
+//     task on one of them fanning out over the rest).  Reports the
+//     incremental root split into storage folds and account trie, and the
+//     persist, per block; the roots must agree.
 #include <atomic>
 #include <cinttypes>
 #include <cstdlib>
@@ -117,8 +124,8 @@ std::vector<RootSample> run_root_recompute(double* oracle_mismatch) {
 
 // ---- experiment 2: async seal overlap across a proposed chain ----
 // `retained_out`: heap the chain's blocks (post states, tries) hold once
-// every seal settled, per block.  The pipeline keeps its last result, so
-// the final block is not counted.
+// every seal settled, per block.  The final post state stays alive as the
+// head, so its state is not counted.
 std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
                                             double* wall_out, double* tail_out,
                                             double* retained_out) {
@@ -165,7 +172,9 @@ std::vector<OverlapSample> run_overlap_once(commit::CommitPipeline* pipe,
   *tail_out = tail.elapsed_ms();
   *wall_out = wall.elapsed_ms();
   // What the blocks alone hold: the heap they give back when dropped (the
-  // shared genesis stays put across the two readings).
+  // shared genesis stays put across the two readings, and so does the last
+  // post state, the head a chain keeps).
+  const std::shared_ptr<state::WorldState> head = blocks.back().post_state;
   const std::size_t with_blocks = heap_in_use();
   blocks.clear();
   *retained_out = (static_cast<double>(with_blocks) -
@@ -285,6 +294,117 @@ CopyUnderCommit run_copy_under_commit() {
   if (!snapshots.empty())
     out.roots_agree = snapshots.back().state_root() == running.state_root();
   return out;
+}
+
+// ---- experiment 5: commitment on 1 lane vs nproc lanes ----
+constexpr std::size_t kLaneHeights = 16;
+constexpr int kLaneRepeats = 3;
+
+struct LaneRun {
+  std::size_t lanes = 0;
+  double root_ms = 0.0;  // CommitResult::commit_ms, summed over heights
+  double storage_fold_ms = 0.0;
+  double account_hash_ms = 0.0;
+  double persist_ms = 0.0;
+  std::size_t nodes_appended = 0;
+  std::vector<Hash256> roots;
+};
+
+// The chain's writes per height, replayed onto copies of committed
+// parents: each height's commit folds exactly that block's writes.
+std::vector<std::vector<std::pair<state::StateKey, U256>>> lane_chain_writes(
+    state::WorldState* genesis_out) {
+  workload::WorkloadConfig wc = workload::preset_mainnet();
+  wc.seed = 0xF19;
+  workload::WorkloadGenerator gen(wc);
+  *genesis_out = gen.genesis();
+  std::vector<std::vector<std::pair<state::StateKey, U256>>> out;
+  std::shared_ptr<state::WorldState> keep;
+  const state::WorldState* parent = genesis_out;
+  for (std::size_t h = 1; h <= kLaneHeights; ++h) {
+    const HonestBlock hb = build_honest_block(*parent, gen.next_block(), h);
+    auto& writes = out.emplace_back();
+    for (const chain::TxProfile& tx : hb.bundle.profile.txs)
+      for (const auto& [key, value] : tx.writes)
+        writes.emplace_back(key, value);
+    keep = hb.post_state;
+    parent = keep.get();
+  }
+  return out;
+}
+
+LaneRun run_lanes_once(
+    const state::WorldState& genesis,
+    const std::vector<std::vector<std::pair<state::StateKey, U256>>>& chain,
+    ThreadPool* pool) {
+  LaneRun out;
+  out.lanes = pool == nullptr ? 1 : pool->size();
+  char dir[] = "/tmp/bpdb_lanes_XXXXXX";
+  if (::mkdtemp(dir) == nullptr) return out;
+  {
+    std::unique_ptr<db::PagedNodeStore> store;
+    if (!db::PagedNodeStore::open(dir, {}, store).ok()) return out;
+    (void)genesis.persist_commitment(*store);
+    (void)store->commit_root(genesis.state_root(), 0);
+    commit::CommitPipeline pipe(pool);
+    pipe.set_node_store(store.get());
+    auto parent = std::make_shared<const state::WorldState>(genesis);
+    for (std::size_t h = 0; h < chain.size(); ++h) {
+      auto post = std::make_shared<state::WorldState>(*parent);
+      for (const auto& [key, value] : chain[h]) post->set(key, value);
+      const commit::CommitResult r = pipe.submit(post).get();
+      out.root_ms += r.commit_ms;
+      out.storage_fold_ms += r.storage_fold_ms;
+      out.account_hash_ms += r.account_hash_ms;
+      out.persist_ms += r.persist_ms;
+      out.nodes_appended += r.nodes_appended;
+      out.roots.push_back(r.state_root);
+      (void)store->commit_root(r.state_root, h + 1);
+      parent = std::move(post);
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return out;
+}
+
+// Best total per field over the repeats, 1 lane and nproc lanes
+// alternating so both sides see the same machine.
+std::pair<LaneRun, LaneRun> run_lanes(bool* roots_agree) {
+  state::WorldState genesis;
+  const auto chain = lane_chain_writes(&genesis);
+  ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
+  LaneRun best[2];
+  *roots_agree = true;
+  for (int rep = 0; rep < kLaneRepeats; ++rep) {
+    for (int side = 0; side < 2; ++side) {
+      const LaneRun r =
+          run_lanes_once(genesis, chain, side == 0 ? nullptr : &pool);
+      *roots_agree = *roots_agree && r.roots.size() == chain.size() &&
+                     (rep == 0 && side == 0 ? true : r.roots == best[0].roots);
+      LaneRun& b = best[side];
+      if (rep == 0) {
+        b = r;
+        continue;
+      }
+      b.root_ms = std::min(b.root_ms, r.root_ms);
+      b.storage_fold_ms = std::min(b.storage_fold_ms, r.storage_fold_ms);
+      b.account_hash_ms = std::min(b.account_hash_ms, r.account_hash_ms);
+      b.persist_ms = std::min(b.persist_ms, r.persist_ms);
+    }
+  }
+  return {best[0], best[1]};
+}
+
+void print_lane_run(FILE* f, const char* name, const LaneRun& r, bool last) {
+  const double n = static_cast<double>(kLaneHeights);
+  std::fprintf(f,
+               "    \"%s\": {\"lanes\": %zu, \"root_ms_per_block\": %.4f, "
+               "\"storage_fold_ms_per_block\": %.4f, "
+               "\"account_hash_ms_per_block\": %.4f, "
+               "\"persist_ms_per_block\": %.4f, \"nodes_per_block\": %.1f}%s\n",
+               name, r.lanes, r.root_ms / n, r.storage_fold_ms / n,
+               r.account_hash_ms / n, r.persist_ms / n,
+               static_cast<double>(r.nodes_appended) / n, last ? "" : ",");
 }
 
 // Scheduler noise dominates single-digit-ms walls (especially on low-core
@@ -441,6 +561,29 @@ void run() {
   std::printf("  mid-commit snapshot root agrees with committed source: %s\n",
               cuc.roots_agree ? "yes" : (cuc.copies ? "NO" : "n/a"));
 
+  // Experiment 5: the replica's commit task on 1 lane vs nproc lanes.
+  bool lane_roots_agree = false;
+  const auto [one_lane, all_lanes] = run_lanes(&lane_roots_agree);
+  std::printf("\ncommit lanes (per block, best of %d, %zu heights): "
+              "%12s %12s %12s %12s %8s\n",
+              kLaneRepeats, kLaneHeights, "root-ms", "storage-ms",
+              "account-ms", "persist-ms", "nodes");
+  for (const LaneRun* r : {&one_lane, &all_lanes}) {
+    const double n = static_cast<double>(kLaneHeights);
+    std::printf("  %2zu lane(s) %41s %12.3f %12.3f %12.3f %12.3f %8.1f\n",
+                r->lanes, "", r->root_ms / n, r->storage_fold_ms / n,
+                r->account_hash_ms / n, r->persist_ms / n,
+                static_cast<double>(r->nodes_appended) / n);
+  }
+  const double root_lane_speedup =
+      all_lanes.root_ms > 0 ? one_lane.root_ms / all_lanes.root_ms : 0.0;
+  const double persist_lane_speedup =
+      all_lanes.persist_ms > 0 ? one_lane.persist_ms / all_lanes.persist_ms
+                               : 0.0;
+  std::printf("  speedup: root %.2fx, persist %.2fx; roots agree: %s\n",
+              root_lane_speedup, persist_lane_speedup,
+              lane_roots_agree ? "yes" : "NO");
+
   // ---- machine-readable record ----
   FILE* f = std::fopen("BENCH_commit.json", "w");
   if (f == nullptr) {
@@ -506,8 +649,16 @@ void run() {
                cuc.genesis_copy_bytes);
   std::fprintf(f, "    \"copy_mean_ms\": %.4f,\n", cuc.copy_mean_ms);
   std::fprintf(f, "    \"copy_worst_ms\": %.4f,\n", cuc.copy_worst_ms);
-  std::fprintf(f, "    \"roots_agree\": %s\n  }\n}\n",
+  std::fprintf(f, "    \"roots_agree\": %s\n  },\n",
                cuc.roots_agree ? "true" : "false");
+  std::fprintf(f, "  \"commit_lanes\": {\n");
+  std::fprintf(f, "    \"heights\": %zu,\n", kLaneHeights);
+  print_lane_run(f, "one_lane", one_lane, false);
+  print_lane_run(f, "nproc_lanes", all_lanes, false);
+  std::fprintf(f, "    \"root_speedup\": %.2f,\n", root_lane_speedup);
+  std::fprintf(f, "    \"persist_speedup\": %.2f,\n", persist_lane_speedup);
+  std::fprintf(f, "    \"roots_agree\": %s\n  }\n}\n",
+               lane_roots_agree ? "true" : "false");
   std::fclose(f);
   std::printf("wrote BENCH_commit.json\n");
 }

@@ -20,7 +20,8 @@
 //     longest put()/commit_root() stall while the sweep runs.
 //
 // Emits BENCH_db.json.  `--smoke` shrinks sizes for CI and turns the
-// invariants above into exit-code gates.
+// invariants above into exit-code gates; it does not rewrite
+// BENCH_db.json.
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -459,7 +460,7 @@ int run(bool smoke) {
   trie::NodeCache::global().set_capacity(default_capacity);
   trie::NodeCache::global().clear();
 
-  FILE* f = std::fopen("BENCH_db.json", "w");
+  FILE* f = smoke ? nullptr : std::fopen("BENCH_db.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f,

@@ -13,7 +13,8 @@
 // commits, a non-starved proposer (strictly bounded empty-block fraction),
 // and a populated latency distribution.
 //
-// Emits BENCH_ingest.json (machine-readable) plus a stdout table.
+// Emits BENCH_ingest.json (machine-readable) plus a stdout table; --smoke
+// does not rewrite it.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -184,17 +185,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  FILE* f = std::fopen("BENCH_ingest.json", "w");
-  if (!f) {
-    std::printf("cannot write BENCH_ingest.json\n");
-    return 1;
+  if (!smoke) {
+    FILE* f = std::fopen("BENCH_ingest.json", "w");
+    if (!f) {
+      std::printf("cannot write BENCH_ingest.json\n");
+      return 1;
+    }
+    std::fprintf(f, "{\n  \"smoke\": false,\n");
+    emit_rows(f, "uncongested", rows, /*trailing_comma=*/true);
+    emit_rows(f, "overload", overload_rows, /*trailing_comma=*/false);
+    std::fprintf(f, "}\n");
+    std::fclose(f);
+    std::printf("\nwrote BENCH_ingest.json\n");
   }
-  std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-  emit_rows(f, "uncongested", rows, /*trailing_comma=*/true);
-  emit_rows(f, "overload", overload_rows, /*trailing_comma=*/false);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_ingest.json\n");
 
   if (smoke) {
     for (const std::vector<ProfileRow>* sweep : {&rows, &overload_rows}) {

@@ -22,6 +22,8 @@
 # off the store lock while puts and commits go on) and under combined
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a
 # tmpdir hygiene check: tests and benches must remove their page files.
+# The perf-smoke benches must leave the committed BENCH_*.json files as
+# they are (a git diff over them fails the gate).
 # The commit-labeled suites (incremental roots, forked copies sharing
 # copy-on-write storage shards, the commit stress layer) run under the same
 # ASan+UBSan build (the asan-commit preset): shard sharing is lifetime code.
@@ -112,6 +114,14 @@ echo "==> perf-smoke: bench_evm --smoke (interpreter + analysis-cache gates)"
 # below 99% under the mainnet profile, or a per-profile state-root mismatch
 # between the two interpreters.
 timeout 180 ./build/bench/bench_evm --smoke
+
+echo "==> perf-smoke: committed BENCH_*.json untouched"
+# Smoke runs gate and print, but never rewrite the committed full-mode
+# BENCH files in the cwd; a diff here means one wrote smoke numbers over
+# them.  (Run full-mode benches to regenerate those files on purpose.)
+if git rev-parse --git-dir >/dev/null 2>&1; then
+  git diff --exit-code -- 'BENCH_*.json'
+fi
 
 echo "==> tsan: configure + build (BLOCKPILOT_SANITIZE=thread)"
 cmake --preset tsan >/dev/null

@@ -7,17 +7,27 @@ namespace blockpilot::commit {
 
 CommitResult CommitPipeline::compute(
     std::shared_ptr<const state::WorldState> post, const AuxRootFn& aux,
-    std::uint64_t sequence, db::NodeStore* store) {
+    std::uint64_t sequence, db::NodeStore* store, ThreadPool* lanes) {
   BP_ASSERT_MSG(post != nullptr, "commit of null state");
   Stopwatch sw;
   CommitResult out;
   out.sequence = sequence;
-  out.state_root = post->state_root();
-  if (aux) out.aux_root = aux();
+  const state::CommitStats before = post->commit_stats();
+  // With lanes, the aux root hashes as a lane beside the state root.
+  for_each_lane(lanes, aux ? 2 : 1, [&](std::size_t part) {
+    if (part == 0) {
+      out.state_root = post->state_root(lanes);
+    } else {
+      out.aux_root = aux();
+    }
+  });
+  const state::CommitStats after = post->commit_stats();
+  out.storage_fold_ms = after.storage_fold_ms - before.storage_fold_ms;
+  out.account_hash_ms = after.account_hash_ms - before.account_hash_ms;
   out.commit_ms = sw.elapsed_ms();
   if (store != nullptr) {
     Stopwatch psw;
-    out.nodes_appended = post->persist_commitment(*store);
+    out.nodes_appended = post->persist_commitment(*store, lanes);
     out.persist_ms = psw.elapsed_ms();
   }
   out.post_state = std::move(post);
@@ -47,54 +57,61 @@ CommitHandle CommitPipeline::submit(
     ++stats_.settled;
     p.set_value(std::move(r));
     auto fut = p.get_future().share();
-    tail_ = fut;
     lk.unlock();
     if (on_settled) on_settled(fut.get());
     return CommitHandle(fut);
   }
 
-  // ThreadPool::Task is a copyable std::function, so the move-only promise
-  // rides in a shared_ptr.
-  auto promise = std::make_shared<std::promise<CommitResult>>();
-  auto fut = promise->get_future().share();
-  std::shared_future<CommitResult> prev = tail_;
-  tail_ = fut;
+  // One drain task at a time runs the queued jobs in order, so a job never
+  // waits on its predecessor on a pool worker: a parked successor would
+  // hold a worker its predecessor's lanes could use.
+  Job job{std::promise<CommitResult>{}, std::move(post), std::move(aux),
+          std::move(on_settled), seq, store};
+  auto fut = job.promise.get_future().share();
+  jobs_.push_back(std::move(job));
   ++pending_;
   stats_.max_pending = std::max(stats_.max_pending, pending_);
-  pool_->submit([this, promise, prev, fut, post = std::move(post),
-                 aux = std::move(aux), on_settled = std::move(on_settled), seq,
-                 store]() mutable {
-    // FIFO publication: never resolve before the predecessor.  The pool's
-    // queue is FIFO too, so by the time this task runs its predecessor has
-    // at least started — waiting here cannot starve the pool.
-    if (prev.valid()) prev.wait();
-    CommitResult r = compute(std::move(post), aux, seq, store);
-    const double commit_ms = r.commit_ms;
-    // The callback fires BEFORE the promise resolves: the successor task is
-    // parked in prev.wait() until set_value below, so settlement
-    // notifications are strictly FIFO across submissions — resolving first
-    // would let the successor's callback race (and overtake) ours.  It
-    // also fires before this task releases its pending slot, so drain() —
-    // and the destructor, which drains — implies every notification has
-    // finished.  The task must not touch the pipeline after the decrement
-    // below: a drained pipeline may already be destroyed.  (Callbacks may
-    // submit follow-ups, but must not block on this pipeline's own
-    // backpressure, nor wait on their own handle.)
-    if (on_settled) on_settled(r);
-    promise->set_value(std::move(r));
-    {
-      std::scoped_lock lk(mu_);
-      stats_.total_commit_ms += commit_ms;
-      ++stats_.settled;
-      --pending_;
-      // Notify UNDER the lock: a drain()er woken by this broadcast cannot
-      // re-acquire mu_ (and thus cannot return and destroy the pipeline)
-      // until this task has fully left the condition variable and released
-      // the mutex — the unlock below is the task's last touch of `this`.
-      settled_cv_.notify_all();
-    }
-  });
+  if (!draining_) {
+    draining_ = true;
+    pool_->submit([this] { drain_jobs(); });
+  }
   return CommitHandle(fut);
+}
+
+void CommitPipeline::drain_jobs() {
+  std::unique_lock lk(mu_);
+  for (;;) {
+    Job job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lk.unlock();
+    CommitResult r =
+        compute(std::move(job.post), job.aux, job.seq, job.store, pool_);
+    const double commit_ms = r.commit_ms;
+    // The callback fires BEFORE the promise resolves, and both before the
+    // next job starts, so settlement notifications are strictly FIFO and
+    // a waiter woken by the future sees its callback done.  It also fires
+    // before this job releases its pending slot, so drain() — and the
+    // destructor, which drains — implies every notification has finished.
+    // (Callbacks may submit follow-ups, which this loop picks up, but must
+    // not block on this pipeline's own backpressure, nor wait on their own
+    // handle.)
+    if (job.on_settled) job.on_settled(r);
+    job.promise.set_value(std::move(r));
+    lk.lock();
+    stats_.total_commit_ms += commit_ms;
+    ++stats_.settled;
+    --pending_;
+    // Notify and leave UNDER the lock: a drain()er woken by this broadcast
+    // cannot re-acquire mu_ (and thus cannot return and destroy the
+    // pipeline) until this task has left the condition variable and
+    // released the mutex — the unlock on return is the task's last touch
+    // of `this`.
+    settled_cv_.notify_all();
+    if (jobs_.empty()) {
+      draining_ = false;
+      return;
+    }
+  }
 }
 
 CommitPipelineStats CommitPipeline::stats() const {

@@ -8,10 +8,10 @@
 // block N's commitment with block N+1's execution and compares roots only
 // where the handle is awaited.
 //
-// Ordering: submissions complete in FIFO order (each task waits on its
-// predecessor before publishing), so block N's root is always ready no
-// later than block N+1's — the chain layer relies on this when it settles
-// a round speculatively.
+// Ordering: submissions complete in FIFO order (one pool task at a time
+// runs the queued commitments in submission order), so block N's root is
+// always ready no later than block N+1's — the chain layer relies on this
+// when it settles a round speculatively.
 //
 // Layering: bp_commit sits on bp_state/bp_support only.  Roots that need
 // higher layers (the receipts root lives in bp_chain) are injected as an
@@ -21,6 +21,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -55,6 +56,11 @@ struct CommitResult {
   std::uint64_t sequence = 0;  // FIFO position within the pipeline
   std::size_t nodes_appended = 0;  // dirty nodes written to the node store
   double persist_ms = 0.0;         // time spent appending (0 with no store)
+  // The state root's share of commit_ms, split (CommitStats): storage
+  // folds and account encodings, then the account trie.  Both 0 when the
+  // state's root was already memoized.
+  double storage_fold_ms = 0.0;
+  double account_hash_ms = 0.0;
 };
 
 class CommitPipeline;
@@ -99,8 +105,10 @@ struct CommitPipelineStats {
 
 class CommitPipeline {
  public:
-  /// With a pool, commitments run asynchronously on it; with nullptr they
-  /// run inline at submit time (useful for tests and as a degraded mode).
+  /// With a pool, commitments run asynchronously on it, and each one's
+  /// hashing and persisting fan out across the pool's lanes too (see
+  /// WorldState::state_root); with nullptr they run inline at submit time,
+  /// serially (useful for tests and as a degraded mode).
   explicit CommitPipeline(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Drains before dying: in-flight tasks reference the pipeline's mutex,
@@ -123,10 +131,12 @@ class CommitPipeline {
   /// Synchronous commitment of a state (the work one task performs).  With
   /// a store, the state's dirty trie nodes are appended right after the
   /// root is known — the batch rides the commit future, off the proposer's
-  /// sealing path.
+  /// sealing path.  With `lanes`, root and persist run across its lanes,
+  /// the calling thread included.
   static CommitResult compute(std::shared_ptr<const state::WorldState> post,
                               const AuxRootFn& aux, std::uint64_t sequence,
-                              db::NodeStore* store = nullptr);
+                              db::NodeStore* store = nullptr,
+                              ThreadPool* lanes = nullptr);
 
   /// Attaches a node store: every subsequent commitment persists its post
   /// state's new trie nodes as part of the committing task (durability —
@@ -153,10 +163,24 @@ class CommitPipeline {
   void drain() const { wait_pending_at_most(0); }
 
  private:
+  // One queued commitment.
+  struct Job {
+    std::promise<CommitResult> promise;
+    std::shared_ptr<const state::WorldState> post;
+    AuxRootFn aux;
+    SettleFn on_settled;
+    std::uint64_t seq = 0;
+    db::NodeStore* store = nullptr;
+  };
+
+  /// Runs queued jobs in order until none is left (one pool task).
+  void drain_jobs();
+
   ThreadPool* pool_;
   mutable std::mutex mu_;
   mutable std::condition_variable settled_cv_;
-  std::shared_future<CommitResult> tail_;  // FIFO ordering chain
+  std::deque<Job> jobs_;    // submitted, not yet started; guarded by mu_
+  bool draining_ = false;   // a drain_jobs() task is queued or running
   std::uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
   CommitPipelineStats stats_;

@@ -331,19 +331,25 @@ Status PagedNodeStore::rebuild_index_locked() {
   return Status::Ok();
 }
 
-Status PagedNodeStore::put(const Hash256& hash,
-                           std::span<const std::uint8_t> encoding) {
-  std::scoped_lock lk(mu_);
+namespace {
+
+// A record is {32-byte hash, encoding}; built off the store lock.
+void append_record(std::vector<std::uint8_t>& out, const Hash256& hash,
+                   std::span<const std::uint8_t> encoding) {
+  out.insert(out.end(), hash.bytes.begin(), hash.bytes.end());
+  out.insert(out.end(), encoding.begin(), encoding.end());
+}
+
+}  // namespace
+
+Status PagedNodeStore::put_locked(const Hash256& hash,
+                                  std::span<const std::uint8_t> rec) {
   if (index_.contains(hash)) {
     ++stats_.dup_puts;
     return Status::Ok();
   }
-  std::vector<std::uint8_t> rec;
-  rec.reserve(32 + encoding.size());
-  rec.insert(rec.end(), hash.bytes.begin(), hash.bytes.end());
-  rec.insert(rec.end(), encoding.begin(), encoding.end());
   PageRef ref;
-  const Status st = file_->append(std::span(rec), ref);
+  const Status st = file_->append(rec, ref);
   if (!st.ok()) return st;
   index_.emplace(hash, ref);
   total_record_bytes_ += rec.size();
@@ -351,7 +357,36 @@ Status PagedNodeStore::put(const Hash256& hash,
   if (compacting_) puts_during_compaction_.push_back(hash);
   ++stats_.puts;
   ++stats_.nodes;
-  stats_.node_bytes += encoding.size();
+  stats_.node_bytes += rec.size() - 32;
+  return Status::Ok();
+}
+
+Status PagedNodeStore::put(const Hash256& hash,
+                           std::span<const std::uint8_t> encoding) {
+  std::vector<std::uint8_t> rec;
+  rec.reserve(32 + encoding.size());
+  append_record(rec, hash, encoding);
+  std::scoped_lock lk(mu_);
+  return put_locked(hash, std::span(rec));
+}
+
+// Every record is laid out in one buffer before the lock is taken, so the
+// lock covers only the index and the page appends.
+Status PagedNodeStore::put_batch(std::span<const NodeRecord> nodes) {
+  std::size_t bytes = 0;
+  for (const NodeRecord& n : nodes) bytes += 32 + n.encoding.size();
+  std::vector<std::uint8_t> recs;
+  recs.reserve(bytes);
+  for (const NodeRecord& n : nodes)
+    append_record(recs, n.hash, std::span(n.encoding));
+  std::scoped_lock lk(mu_);
+  std::size_t at = 0;
+  for (const NodeRecord& n : nodes) {
+    const std::size_t len = 32 + n.encoding.size();
+    const Status st = put_locked(n.hash, std::span(recs).subspan(at, len));
+    if (!st.ok()) return st;
+    at += len;
+  }
   return Status::Ok();
 }
 
@@ -381,8 +416,18 @@ Status PagedNodeStore::get(const Hash256& hash,
 }
 
 bool PagedNodeStore::contains(const Hash256& hash) const {
-  std::scoped_lock lk(mu_);
+  std::shared_lock lk(mu_);  // persist lanes probe side by side
   return index_.contains(hash);
+}
+
+std::uint64_t PagedNodeStore::contains_mask(
+    std::span<const Hash256> hashes) const {
+  BP_ASSERT(hashes.size() <= 64);
+  std::shared_lock lk(mu_);
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < hashes.size(); ++i)
+    if (index_.contains(hashes[i])) mask |= std::uint64_t{1} << i;
+  return mask;
 }
 
 Status PagedNodeStore::commit_root(const Hash256& root,
@@ -598,9 +643,13 @@ Status PagedNodeStore::sweep(bool only_if_sparse) {
 
   // Swap phase (locked): the puts that landed after the catch-up and the
   // racing puts' missing children, then a sync of that short tail, the
-  // manifest pointing at the new file, and the old file's retirement.
+  // manifest pointing at the new file, and the old file's retirement.  It
+  // first waits out the open persist walks: one may have found a node that
+  // this sweep drops present, and not yet put the parent that references
+  // it; that put must land in puts_during_compaction_, not after the swap.
   std::string old_path;
   {
+    std::unique_lock gate(writers_);
     std::scoped_lock lk(mu_);
     std::vector<Hash256> pending = std::move(puts_during_compaction_);
     pending.insert(pending.end(), closure.begin(), closure.end());

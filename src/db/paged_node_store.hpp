@@ -33,13 +33,15 @@
 // from them, and the new file is fsynced before the swap.  Puts racing the
 // sweep are copied from the pages sealed since the snapshot, off the lock
 // too; only the partial page and the last racing puts are read through the
-// locked path, the latter during the short swap.
+// locked path, the latter during the short swap.  The swap also waits for
+// open persist walks (db::WriteSession) to finish, so no walk straddles it.
 #pragma once
 
 #include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
@@ -78,13 +80,16 @@ class PagedNodeStore final : public NodeStore {
   // NodeStore interface.
   Status put(const Hash256& hash,
              std::span<const std::uint8_t> encoding) override;
+  Status put_batch(std::span<const NodeRecord> nodes) override;
   Status get(const Hash256& hash,
              std::vector<std::uint8_t>& out) const override;
   bool contains(const Hash256& hash) const override;
+  std::uint64_t contains_mask(std::span<const Hash256> hashes) const override;
   Status commit_root(const Hash256& root, std::uint64_t height) override;
   Hash256 durable_root() const override;
   std::uint64_t durable_height() const override;
   Stats stats() const override;
+  std::shared_mutex* writer_gate() override { return &writers_; }
 
   /// Rewrites the live set into a fresh data file and retires the old one.
   Status compact();
@@ -113,6 +118,8 @@ class PagedNodeStore final : public NodeStore {
   Status load_or_init_manifest(bool& fresh);
   Status rebuild_index_locked();
   Status get_impl(const Hash256& hash, std::vector<std::uint8_t>& out) const;
+  /// Appends one record ({hash, encoding}) unless the hash is stored.
+  Status put_locked(const Hash256& hash, std::span<const std::uint8_t> rec);
   /// The live set reachable from the retained roots + young appends, as
   /// records (hash + encoding) in walk order; see LiveWalk in the .cpp.
   struct LiveWalk;
@@ -125,7 +132,8 @@ class PagedNodeStore final : public NodeStore {
   Options opts_;
   std::uint64_t durable_pages_hint_ = 0;  // manifest sealed_pages at open
 
-  mutable std::mutex mu_;
+  // Exclusive for every access but contains(), which only reads index_.
+  mutable std::shared_mutex mu_;
   // Shared so a walk reading the sealed prefix off the lock keeps the file
   // (and its descriptor) open across a concurrent swap.
   std::shared_ptr<PageFile> file_;
@@ -142,7 +150,11 @@ class PagedNodeStore final : public NodeStore {
   std::deque<std::pair<Hash256, std::uint64_t>> recent_roots_;
   std::unordered_map<Hash256, std::uint64_t> recent_puts_;  // hash -> gen
 
-  // Compaction rendezvous.
+  // Compaction rendezvous.  The swap holds writers_ exclusively, so no
+  // persist walk (WriteSession) spans it: a walk that found a node present
+  // before the swap puts the parents referencing it before the swap too,
+  // where puts_during_compaction_ brings that node along.
+  std::shared_mutex writers_;
   bool compacting_ = false;  // guarded by mu_
   std::vector<Hash256> puts_during_compaction_;  // guarded by mu_
   std::size_t commits_since_sweep_ = 0;          // guarded by mu_

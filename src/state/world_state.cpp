@@ -1,9 +1,13 @@
 #include "state/world_state.hpp"
 
+#include <algorithm>
+
 #include "crypto/keccak.hpp"
 #include "db/node_store.hpp"
 #include "rlp/rlp.hpp"
 #include "support/assert.hpp"
+#include "support/stopwatch.hpp"
+#include "support/thread_pool.hpp"
 
 namespace blockpilot::state {
 
@@ -265,6 +269,11 @@ Bytes encode_account(const AccountData& acct, const Hash256& storage_root,
 // wholesale and folds only its own dirty set.  root_mu_ serializes whole
 // computations so two rooters on the same object cannot interleave their
 // unlocked phases.
+//
+// With lanes, the hash phase runs each fold as one lane (folds touch
+// disjoint tries; the persistent copies path-copy away from every node
+// they share), heaviest first, and the root phase hashes the account
+// root's subtries as lanes too.  Collect, install and memo stay serial.
 struct WorldState::StorageFold {
   enum class Kind { kPrune, kBuild, kApplySlots, kBodyOnly };
 
@@ -275,6 +284,23 @@ struct WorldState::StorageFold {
   std::vector<U256> slots;            // kApplySlots: touched slots
   Hash256 storage_root;
   Bytes encoded;                      // account RLP, produced off-lock
+
+  // Slots this fold puts or erases: its lane's weight.
+  std::size_t weight() const {
+    switch (kind) {
+      case Kind::kBuild:
+        return acct->storage.size();
+      case Kind::kApplySlots:
+        return slots.size();
+      default:
+        return 0;
+    }
+  }
+
+  // Applies the fold and encodes the account.  With `lanes`, the storage
+  // trie's subtries hash as nested lanes, which workers done with the
+  // other folds join: the heaviest fold is not left to one thread.
+  void hash(ThreadPool* lanes);
 };
 
 std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
@@ -329,37 +355,48 @@ std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
   return folds;
 }
 
-void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
-  for (StorageFold& f : folds) {
-    switch (f.kind) {
-      case StorageFold::Kind::kPrune:
-        continue;
-      case StorageFold::Kind::kBuild:
-        f.acct->storage.for_each([&f](const U256& slot, const U256& value) {
-          put_slot(f.trie, slot, value);
-        });
-        f.storage_root = f.trie.root_hash();
-        break;
-      case StorageFold::Kind::kApplySlots:
-        // Only the touched slots; untouched subtrees keep their memoized
-        // hashes inside the persistent trie.
-        for (const U256& slot : f.slots) {
-          const U256 value = slot_value(f.acct->storage, slot);
-          if (value.is_zero()) {
-            const auto key = slot.to_be_bytes();
-            f.trie.erase(std::span(key));
-          } else {
-            put_slot(f.trie, slot, value);
-          }
+void WorldState::StorageFold::hash(ThreadPool* lanes) {
+  switch (kind) {
+    case Kind::kPrune:
+      return;
+    case Kind::kBuild:
+      acct->storage.for_each([this](const U256& slot, const U256& value) {
+        put_slot(trie, slot, value);
+      });
+      storage_root = trie.root_hash(lanes);
+      break;
+    case Kind::kApplySlots:
+      // Only the touched slots; untouched subtrees keep their memoized
+      // hashes inside the persistent trie.
+      for (const U256& slot : slots) {
+        const U256 value = slot_value(acct->storage, slot);
+        if (value.is_zero()) {
+          const auto key = slot.to_be_bytes();
+          trie.erase(std::span(key));
+        } else {
+          put_slot(trie, slot, value);
         }
-        f.storage_root = f.trie.root_hash();
-        break;
-      case StorageFold::Kind::kBodyOnly:
-        break;
-    }
-    f.encoded =
-        encode_account(*f.acct, f.storage_root, memoized_code_hash(*f.acct));
+      }
+      storage_root = trie.root_hash(lanes);
+      break;
+    case Kind::kBodyOnly:
+      break;
   }
+  encoded = encode_account(*acct, storage_root, memoized_code_hash(*acct));
+}
+
+void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds,
+                                     ThreadPool* lanes) const {
+  std::vector<StorageFold*> order(folds.size());
+  for (std::size_t i = 0; i < folds.size(); ++i) order[i] = &folds[i];
+  if (lanes != nullptr) {
+    std::stable_sort(order.begin(), order.end(),
+                     [](const StorageFold* a, const StorageFold* b) {
+                       return a->weight() > b->weight();
+                     });
+  }
+  for_each_lane(lanes, order.size(),
+                [&order, lanes](std::size_t i) { order[i]->hash(lanes); });
 }
 
 trie::SecureTrie WorldState::install_folds_locked(
@@ -418,7 +455,7 @@ Hash256 WorldState::storage_root(const Address& addr) const {
   return storage_root_of(acct->storage);
 }
 
-Hash256 WorldState::state_root() const {
+Hash256 WorldState::state_root(ThreadPool* lanes) const {
   {
     std::scoped_lock lk(commit_mu_);
     if (memo_valid_locked()) {
@@ -437,16 +474,22 @@ Hash256 WorldState::state_root() const {
     }
     folds = collect_folds_locked();
   }
-  hash_folds_unlocked(folds);
+  const Stopwatch fold_clock;
+  hash_folds_unlocked(folds, lanes);
+  const double fold_ms = fold_clock.elapsed_ms();
+  const Stopwatch account_clock;
   trie::SecureTrie snapshot;
   {
     std::scoped_lock lk(commit_mu_);
     snapshot = install_folds_locked(folds);
   }
-  const Hash256 root = snapshot.root_hash();
+  const Hash256 root = snapshot.root_hash(lanes);
+  const double account_ms = account_clock.elapsed_ms();
   {
     std::scoped_lock lk(commit_mu_);
     ++stats_.root_recomputes;
+    stats_.storage_fold_ms += fold_ms;
+    stats_.account_hash_ms += account_ms;
     if (dirty_.empty() && inherited_.empty()) {
       root_memo_ = root;
       root_valid_ = true;
@@ -477,11 +520,12 @@ CommitStats WorldState::commit_stats() const {
   return stats_;
 }
 
-std::size_t WorldState::persist_commitment(db::NodeStore& store) const {
-  const Hash256 root = state_root();  // folds dirty writes; memos current
+std::size_t WorldState::persist_commitment(db::NodeStore& store,
+                                           ThreadPool* lanes) const {
+  const Hash256 root = state_root(lanes);  // folds dirty writes; memos current
   // Fast path: a stored root implies its whole closure is stored (persists
   // append post-order, so nothing can reference a missing descendant — see
-  // persist_subtree).  Re-commits of an already-persisted state — the chain
+  // persist_new).  Re-commits of an already-persisted state — the chain
   // layer persisting after the pipeline already did, sibling blocks sharing
   // a parent — skip the snapshot and the storage-trie walk entirely.
   if (store.contains(root)) return 0;
@@ -503,12 +547,31 @@ std::size_t WorldState::persist_commitment(db::NodeStore& store) const {
   // Storage tries first: account leaves embed storageRoot references, so
   // the post-order invariant extends across tries — by the time an account
   // node lands in the file, every storage node it commits to is already
-  // there.
-  std::size_t appended = 0;
-  for (const auto& storage : storage_snapshots)
-    appended += storage.persist_nodes(store);
-  appended += account_snapshot.persist_nodes(store);
-  return appended;
+  // there.  With lanes, each storage trie walks as one lane into its own
+  // deferred batch; the batches append after the join, before the account
+  // trie's walk starts.
+  db::WriteSession session(store);
+  db::PutBatch out(session);
+  std::size_t total = 0;
+  if (lanes == nullptr) {
+    for (const trie::SecureTrie& storage : storage_snapshots)
+      total += storage.persist_nodes(out);
+  } else {
+    std::vector<db::PutBatch> tries(storage_snapshots.size(), out.deferred());
+    std::vector<std::size_t> appended(storage_snapshots.size());
+    for_each_lane(lanes, storage_snapshots.size(), [&](std::size_t i) {
+      appended[i] = storage_snapshots[i].persist_nodes(tries[i], lanes);
+    });
+    for (std::size_t i = 0; i < tries.size(); ++i) {
+      total += appended[i];
+      const db::Status st = out.append(std::move(tries[i]));
+      BP_ASSERT_MSG(st.ok(), "node store put failed");
+    }
+  }
+  total += account_snapshot.persist_nodes(out, lanes);
+  const db::Status st = out.flush();
+  BP_ASSERT_MSG(st.ok(), "node store put failed");
+  return total;
 }
 
 }  // namespace blockpilot::state

@@ -88,6 +88,10 @@ struct CommitStats {
   std::uint64_t slots_resynced = 0;     // individual dirty-slot updates
   std::uint64_t dirty_accounts = 0;     // dirty accounts folded in, cumulative
   std::uint64_t handoffs_adopted = 0;   // source folds adopted, not redone
+  // Wall time of state_root()'s phases, cumulative: the storage folds (and
+  // account encodings), and the account trie (install plus root hash).
+  double storage_fold_ms = 0.0;
+  double account_hash_ms = 0.0;
 };
 
 class WorldState {
@@ -139,8 +143,11 @@ class WorldState {
   /// re-hashes only touched paths; answered from a memo when nothing is
   /// dirty.  Bit-identical to state_root_full_rebuild() at all times.
   /// All hashing runs outside commit_mu_ (see the protocol in the .cpp), so
-  /// concurrent copies only wait for the short structural folds.
-  Hash256 state_root() const;
+  /// concurrent copies only wait for the short structural folds.  With
+  /// `lanes`, the storage folds hash as lanes of lanes->fork_join, heaviest
+  /// first, and so do the account root's subtries (see
+  /// MerklePatriciaTrie::root_hash); the root is the same either way.
+  Hash256 state_root(ThreadPool* lanes = nullptr) const;
 
   /// From-scratch commitment rebuilding every trie — the original (seed)
   /// implementation, kept as the differential oracle for tests and benches.
@@ -161,7 +168,13 @@ class WorldState {
   /// the state_root() hashing protocol.  Returns the number of nodes
   /// appended.  After store.commit_root(state_root(), h), a restarted
   /// process reconstructs this state's tries with trie::from_root.
-  std::size_t persist_commitment(db::NodeStore& store) const;
+  /// With `lanes` the walk runs in three steps inside one db::WriteSession:
+  /// the storage tries as lanes, then the account root's subtries as lanes,
+  /// then the account root.  Each lane appends post-order and each step
+  /// joins before the next, so every node, across tries too, still lands
+  /// after everything it references.
+  std::size_t persist_commitment(db::NodeStore& store,
+                                 ThreadPool* lanes = nullptr) const;
 
  private:
   /// Memoized commitment pieces for one account; an account without one
@@ -209,7 +222,8 @@ class WorldState {
 
   // state_root() phases; see the protocol comment in the .cpp.
   std::vector<StorageFold> collect_folds_locked() const;
-  void hash_folds_unlocked(std::vector<StorageFold>& folds) const;
+  void hash_folds_unlocked(std::vector<StorageFold>& folds,
+                           ThreadPool* lanes) const;
   trie::SecureTrie install_folds_locked(std::vector<StorageFold>& folds) const;
 
   using AccountMap = CowMap<Address, AccountData, 1024>;

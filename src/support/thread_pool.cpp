@@ -1,6 +1,8 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "support/assert.hpp"
 
@@ -37,6 +39,49 @@ void ThreadPool::submit(Task task) {
   cv_task_.notify_one();
 }
 
+namespace {
+
+// One fork_join region's shared state.  Helpers that the pool runs after
+// the region returned still reach it (they hold a reference), claim an
+// index past the end and leave; `lane` is dereferenced only for a claimed
+// lane, which the caller waits for, so it never outlives the caller's
+// frame.
+struct Region {
+  const std::function<void(std::size_t)>* lane = nullptr;
+  std::size_t lanes = 0;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> done{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::exception_ptr error;  // guarded by mu
+
+  void fail(std::exception_ptr e) {
+    std::scoped_lock lk(mu);
+    if (!error) error = std::move(e);
+  }
+
+  // Runs unclaimed lanes until none is left.
+  void drain() {
+    for (;;) {
+      const std::size_t l = next.fetch_add(1, std::memory_order_relaxed);
+      if (l >= lanes) return;
+      try {
+        (*lane)(l);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+      // Notify under the lock: the waiter checks `done` under it, so the
+      // last lane's notification cannot slip in between check and wait.
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == lanes) {
+        std::scoped_lock lk(mu);
+        cv.notify_all();
+      }
+    }
+  }
+};
+
+}  // namespace
+
 void ThreadPool::fork_join(std::size_t lanes,
                            const std::function<void(std::size_t)>& lane,
                            const std::function<void()>& caller) {
@@ -46,47 +91,38 @@ void ThreadPool::fork_join(std::size_t lanes,
     if (caller) caller();
     return;
   }
-  // A worker waiting here would hold a slot its own lanes may need.
-  BP_ASSERT_MSG(worker_pool_ != this, "fork_join() from a pool worker");
-
-  // The join lives on this stack frame.  Lanes count down under the lock,
-  // so the waiter cannot return (and destroy it) while a lane is still
-  // inside notify.  Every lane is joined even when one fails: lanes read
-  // the caller's locals.
-  struct Join {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t pending = 0;
-    std::exception_ptr error;
-
-    void fail(std::exception_ptr e) {
-      std::scoped_lock lk(mu);
-      if (!error) error = std::move(e);
-    }
-  } join;
-  join.pending = lanes;
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    submit([&join, &lane, l] {
-      try {
-        lane(l);
-      } catch (...) {
-        join.fail(std::current_exception());
-      }
-      std::scoped_lock lk(join.mu);
-      if (--join.pending == 0) join.cv.notify_one();
-    });
-  }
+  auto region = std::make_shared<Region>();
+  region->lane = &lane;
+  region->lanes = lanes;
+  // Helpers: one per lane the caller will not start at once, and no more
+  // than the workers that could run them (a worker calling in is busy).
+  const std::size_t free_workers = size() - (worker_pool_ == this ? 1 : 0);
+  const std::size_t helpers =
+      std::min(caller ? lanes : lanes - 1, free_workers);
+  for (std::size_t h = 0; h < helpers; ++h)
+    submit([region] { region->drain(); });
   if (caller) {
     try {
       caller();
     } catch (...) {
-      join.fail(std::current_exception());
+      region->fail(std::current_exception());
     }
   }
-  std::unique_lock lk(join.mu);
-  join.cv.wait(lk, [&join] { return join.pending == 0; });
-  if (join.error) std::rethrow_exception(join.error);
+  region->drain();
+  std::unique_lock lk(region->mu);
+  region->cv.wait(lk, [&region] {
+    return region->done.load(std::memory_order_acquire) == region->lanes;
+  });
+  if (region->error) std::rethrow_exception(region->error);
+}
+
+void for_each_lane(ThreadPool* pool, std::size_t n,
+                   const std::function<void(std::size_t)>& body) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  if (n > 0) pool->fork_join(n, body);
 }
 
 void ThreadPool::wait_idle() {

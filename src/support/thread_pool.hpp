@@ -9,6 +9,8 @@
 // lanes), its commit pipeline and its store sweeps.  A parallel region
 // therefore joins through fork_join(), which waits for that region's own
 // lanes only; wait_idle() would also wait for every other submitter's work.
+// for_each_lane() is the null-pool-aware form the commitment path uses: the
+// same loop body runs serially without a pool and across lanes with one.
 #pragma once
 
 #include <atomic>
@@ -39,13 +41,19 @@ class ThreadPool {
   /// Enqueues a task for execution by any worker.
   void submit(Task task);
 
-  /// Runs lane(0) .. lane(lanes - 1) on the pool and `caller` (if any) on
-  /// the calling thread meanwhile, then returns once every lane has
-  /// returned.  Waits for nothing else on the pool: tasks other submitters
-  /// queued (commit seals, persists, store sweeps) keep running.  With
-  /// lanes == 1, lane(0) runs inline, then `caller`.  The first exception a
-  /// lane or `caller` throws is rethrown here, after every lane has
-  /// returned.  Must not be called from one of this pool's own workers.
+  /// Runs lane(0) .. lane(lanes - 1) and `caller` (if any), then returns
+  /// once every lane has returned.  Lanes are claimed from one counter, so
+  /// each runs exactly once: helper tasks on the pool claim lanes while the
+  /// calling thread runs `caller`, and then the calling thread claims every
+  /// lane still unclaimed itself (a helping join).  It waits only for lanes
+  /// a helper already started, never for other submitters' tasks (commit
+  /// seals, persists, store sweeps), so it may be called from one of this
+  /// pool's own workers and nest: a region always completes on its caller
+  /// alone, whatever the pool is busy with.  Lanes may therefore run
+  /// one after another on one thread; a lane must not wait for another
+  /// lane that has not started.  With lanes == 1, lane(0) runs inline, then
+  /// `caller`.  The first exception a lane or `caller` throws is rethrown
+  /// here, after every lane has returned.
   void fork_join(std::size_t lanes,
                  const std::function<void(std::size_t)>& lane,
                  const std::function<void()>& caller = {});
@@ -92,5 +100,12 @@ class ThreadPool {
   static thread_local std::size_t worker_index_;
   static thread_local const ThreadPool* worker_pool_;  // pool of this worker
 };
+
+/// body(0) .. body(n - 1): in index order on the calling thread when `pool`
+/// is null, else as the lanes of pool->fork_join(n, body).  Callers order
+/// the indices heaviest first, so lanes claimed in index order make a
+/// longest-processing-time schedule.
+void for_each_lane(ThreadPool* pool, std::size_t n,
+                   const std::function<void(std::size_t)>& body);
 
 }  // namespace blockpilot

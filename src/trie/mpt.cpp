@@ -5,6 +5,7 @@
 #include "db/node_store.hpp"
 #include "rlp/rlp.hpp"
 #include "support/assert.hpp"
+#include "support/thread_pool.hpp"
 #include "trie/mpt_node.hpp"
 #include "trie/node_cache.hpp"
 
@@ -101,7 +102,8 @@ NodePtr owned(NodePtr node) {
   copy->path = node->path;
   copy->value = node->value;
   copy->child = node->child;
-  copy->children = node->children;
+  if (node->kids != nullptr)
+    copy->kids = std::make_unique<Node::Children>(*node->kids);
   return copy;
 }
 
@@ -134,7 +136,7 @@ NodePtr insert(NodePtr node, std::span<const std::uint8_t> key, Bytes value,
         const std::uint8_t idx = node->path[cp];
         Nibbles rest(node->path.begin() + static_cast<std::ptrdiff_t>(cp) + 1,
                      node->path.end());
-        branch->children[idx] =
+        branch->children()[idx] =
             Node::leaf(std::move(rest), std::move(node->value));
       }
       // New key goes under the branch too.
@@ -144,7 +146,7 @@ NodePtr insert(NodePtr node, std::span<const std::uint8_t> key, Bytes value,
         const std::uint8_t idx = key[cp];
         Nibbles rest(key.begin() + static_cast<std::ptrdiff_t>(cp) + 1,
                      key.end());
-        branch->children[idx] = Node::leaf(std::move(rest), std::move(value));
+        branch->children()[idx] = Node::leaf(std::move(rest), std::move(value));
       }
       inserted = true;
       if (cp == 0) return branch;
@@ -167,9 +169,9 @@ NodePtr insert(NodePtr node, std::span<const std::uint8_t> key, Bytes value,
         Nibbles rest(node->path.begin() + static_cast<std::ptrdiff_t>(cp) + 1,
                      node->path.end());
         if (rest.empty()) {
-          branch->children[idx] = std::move(node->child);
+          branch->children()[idx] = std::move(node->child);
         } else {
-          branch->children[idx] =
+          branch->children()[idx] =
               Node::extension(std::move(rest), std::move(node->child));
         }
       }
@@ -179,7 +181,7 @@ NodePtr insert(NodePtr node, std::span<const std::uint8_t> key, Bytes value,
         const std::uint8_t idx = key[cp];
         Nibbles rest(key.begin() + static_cast<std::ptrdiff_t>(cp) + 1,
                      key.end());
-        branch->children[idx] = Node::leaf(std::move(rest), std::move(value));
+        branch->children()[idx] = Node::leaf(std::move(rest), std::move(value));
       }
       inserted = true;
       if (cp == 0) return branch;
@@ -194,7 +196,7 @@ NodePtr insert(NodePtr node, std::span<const std::uint8_t> key, Bytes value,
         return node;
       }
       const std::uint8_t idx = key[0];
-      node->children[idx] = insert(std::move(node->children[idx]),
+      node->children()[idx] = insert(std::move(node->children()[idx]),
                                    key.subspan(1), std::move(value), inserted);
       return node;
     }
@@ -222,7 +224,7 @@ const Bytes* lookup(const Node* node, std::span<const std::uint8_t> key) {
       }
       case Node::Kind::kBranch:
         if (key.empty()) return node->value.empty() ? nullptr : &node->value;
-        node = node->children[key[0]].get();
+        node = node->children()[key[0]].get();
         key = key.subspan(1);
         break;
     }
@@ -236,7 +238,7 @@ NodePtr normalize_branch(NodePtr node) {
   int child_count = 0;
   int only_idx = -1;
   for (int i = 0; i < 16; ++i) {
-    if (node->children[static_cast<std::size_t>(i)] != nullptr) {
+    if (node->children()[static_cast<std::size_t>(i)] != nullptr) {
       ++child_count;
       only_idx = i;
     }
@@ -248,7 +250,7 @@ NodePtr normalize_branch(NodePtr node) {
   }
   if (child_count == 1 && !has_value) {
     NodePtr child =
-        std::move(node->children[static_cast<std::size_t>(only_idx)]);
+        std::move(node->children()[static_cast<std::size_t>(only_idx)]);
     const auto idx = static_cast<std::uint8_t>(only_idx);
     detail::resolved(child.get());
     switch (child->kind) {
@@ -310,8 +312,8 @@ NodePtr remove(NodePtr node, std::span<const std::uint8_t> key,
       }
       const std::uint8_t idx = key[0];
       node = owned(std::move(node));
-      node->children[idx] =
-          remove(std::move(node->children[idx]), key.subspan(1), removed);
+      node->children()[idx] =
+          remove(std::move(node->children()[idx]), key.subspan(1), removed);
       if (!removed) return node;
       return normalize_branch(std::move(node));
     }
@@ -323,27 +325,26 @@ NodePtr remove(NodePtr node, std::span<const std::uint8_t> key,
 
 namespace detail {
 
-const Bytes& node_ref(const MptNode* node) {
+std::span<const std::uint8_t> node_ref(const MptNode* node) {
   // Fast path: published memo.
   if (node->ref_ready.load(std::memory_order_acquire))
-    return node->cached_ref;
+    return node->cached_ref();
   // Serialize the first computation across tries sharing this node.  Lock
   // order is strictly parent-before-child along an acyclic node graph, so
   // nested acquisition in encode_node below cannot deadlock.
   while (node->ref_lock.test_and_set(std::memory_order_acquire)) {
   }
   if (!node->ref_ready.load(std::memory_order_relaxed)) {
-    Bytes encoded = encode_node(node);
+    const Bytes encoded = encode_node(node);
     if (encoded.size() < 32) {
-      node->cached_ref = std::move(encoded);
+      node->set_ref(encoded);
     } else {
-      const crypto::Digest digest = crypto::keccak256(std::span(encoded));
-      node->cached_ref.assign(digest.begin(), digest.end());
+      node->set_ref(crypto::keccak256(std::span(encoded)));
     }
     node->ref_ready.store(true, std::memory_order_release);
   }
   node->ref_lock.clear(std::memory_order_release);
-  return node->cached_ref;
+  return node->cached_ref();
 }
 
 // A reference to a child node: inline RLP when < 32 bytes, else the keccak
@@ -353,11 +354,11 @@ void append_reference(rlp::Encoder& enc, const Node* node) {
     enc.add(std::span<const std::uint8_t>{});
     return;
   }
-  const Bytes& ref = node_ref(node);
+  const std::span<const std::uint8_t> ref = node_ref(node);
   if (ref.size() < 32) {
-    enc.add_raw(std::span(ref));
+    enc.add_raw(ref);
   } else {
-    enc.add(std::span<const std::uint8_t>(ref));
+    enc.add(ref);
   }
 }
 
@@ -376,8 +377,9 @@ void read_node(MptNode& node, rlp::Reader& in, const db::NodeStore* store) {
   const std::size_t n = items.count();
   if (n == 17) {
     node.kind = MptNode::Kind::kBranch;
+    node.kids = std::make_unique<MptNode::Children>();
     for (std::size_t i = 0; i < 16; ++i)
-      node.children[i] = read_child(items, store);
+      node.children()[i] = read_child(items, store);
     const auto value = items.bytes();
     node.value.assign(value.begin(), value.end());
     return;
@@ -414,7 +416,7 @@ std::shared_ptr<MptNode> read_child(rlp::Reader& in,
     rlp::Reader child(raw);
     read_node(*n, child, store);
     if (!child.ok()) in.fail();
-    n->cached_ref.assign(raw.begin(), raw.end());
+    n->set_ref(raw);
     n->ref_ready.store(true, std::memory_order_release);
     return n;
   }
@@ -436,9 +438,9 @@ void load_stub(const MptNode* node) {
   }
   if (!node->loaded.load(std::memory_order_relaxed)) {
     BP_ASSERT_MSG(node->store != nullptr, "stub without a backing store");
-    BP_ASSERT(node->cached_ref.size() == 32);
+    BP_ASSERT(node->ref_size == 32);
     Hash256 h;
-    std::memcpy(h.bytes.data(), node->cached_ref.data(), 32);
+    std::memcpy(h.bytes.data(), node->ref.data(), 32);
     // Read-through the global NodeCache: a hit skips the store entirely; a
     // miss fetches, verifies the record against its hash, then caches it.
     auto& cache = NodeCache::global();
@@ -460,7 +462,7 @@ void load_stub(const MptNode* node) {
     // A tiny (< 32 byte) encoding can only be a root loaded eagerly by
     // from_root (a child stub implies a hashed parent ref): rewrite the
     // memo to the canonical inline form before anyone else can see it.
-    if (enc.size() < 32) mut->cached_ref = std::move(enc);
+    if (enc.size() < 32) mut->set_ref(enc);
     mut->loaded.store(true, std::memory_order_release);
   }
   node->ref_lock.clear(std::memory_order_release);
@@ -483,7 +485,7 @@ Bytes encode_node(const Node* node) {
     }
     case Node::Kind::kBranch: {
       enc.begin_list();
-      for (const auto& child : node->children)
+      for (const auto& child : node->children())
         append_reference(enc, child.get());
       enc.add(std::span(node->value));
       enc.end_list();
@@ -524,9 +526,128 @@ void MerklePatriciaTrie::erase(std::span<const std::uint8_t> key) {
   if (removed && size_ > 0) --size_;
 }
 
-Hash256 MerklePatriciaTrie::root_hash() const {
+namespace {
+
+// The children of `node` that are hash-referenced (persist) or not yet
+// hashed (root_hash), in nibble order; nulls and inline children skipped
+// per `keep`.  Leaves have none.
+template <class Keep>
+std::size_t children_where(const Node* node, std::array<const Node*, 16>& out,
+                           Keep keep) {
+  std::size_t n = 0;
+  const auto add = [&](const Node* child) {
+    if (child != nullptr && keep(child)) out[n++] = child;
+  };
+  if (node->kind == Node::Kind::kExtension) {
+    add(node->child.get());
+  } else if (node->kind == Node::Kind::kBranch) {
+    for (const auto& child : node->children()) add(child.get());
+  }
+  return n;
+}
+
+bool unhashed(const Node* node) {
+  return !node->ref_ready.load(std::memory_order_acquire);
+}
+
+// Hashes the subtries that root_hash() would hash serially across lanes:
+// descends while a single child is unhashed, then runs each unhashed
+// child as one lane.  Unhashed nodes are never unloaded stubs (a stub's
+// ref is ready from birth), so their fields are readable.
+void hash_subtries(const Node* node, ThreadPool& lanes) {
+  std::array<const Node*, 16> todo;
+  std::size_t n = 0;
+  while (unhashed(node)) {
+    n = children_where(node, todo, unhashed);
+    if (n != 1) break;
+    node = todo[0];
+  }
+  if (n < 2) return;
+  lanes.fork_join(n,
+                  [&todo](std::size_t i) { (void)detail::node_ref(todo[i]); });
+}
+
+// A hash-referenced node's reference as a Hash256.
+Hash256 ref_hash(const Node* node) {
+  const std::span<const std::uint8_t> ref = detail::node_ref(node);
+  BP_ASSERT(ref.size() == 32);
+  Hash256 h;
+  std::memcpy(h.bytes.data(), ref.data(), 32);
+  return h;
+}
+
+void put_ok(const db::Status& st) {
+  BP_ASSERT_MSG(st.ok(), "node store put failed");
+}
+
+// Persists `node`, a hash-referenced node the store does not hold, and
+// every new node below it.  Prunes at children the store already holds
+// (content-addressing: an identical hash is an identical subtree; one
+// contains_mask() per node asks for all of its children) and never
+// descends into inline children — their whole subtree is embedded in this
+// node's encoding.
+//
+// POST-ORDER on purpose: children append strictly before their parent.
+// Crash recovery truncates a *suffix* of the append-only file (everything
+// past the last durability barrier), so with post-order appends a node's
+// presence implies its whole closure's presence — which is exactly what
+// makes the contains() prune sound even against a barrier that races an
+// in-flight persist, and what lets persist_commitment() early-out on a
+// root the store already holds.  (Compaction preserves the invariant
+// differently: the rewritten file is adopted atomically via the manifest,
+// never as a partially-trusted prefix.)
+//
+// With `lanes`, the walk fans out at the first node with two or more new
+// children: each child's subtree is one lane, walked serially into a
+// deferred batch, and after the join the lanes' batches join `out` in
+// order, then this node.  Lanes only probe the store while they walk.  Lanes
+// racing on a node that two subtrees share both find it absent, both walk
+// it post-order, and the store keeps the first put; either way every
+// appended node still follows its children in the file.
+std::size_t persist_new(const Node* node, const Hash256& hash,
+                        db::PutBatch& out, ThreadPool* lanes) {
+  // An unloaded stub only reaches here when persisting into a *different*
+  // store than it came from; materialize it first.
+  detail::resolved(node);
+  std::array<const Node*, 16> kids;
+  const std::size_t n = children_where(node, kids, [](const Node* child) {
+    return detail::node_ref(child).size() == 32;
+  });
+  std::array<Hash256, 16> hashes;
+  for (std::size_t i = 0; i < n; ++i) hashes[i] = ref_hash(kids[i]);
+  const std::uint64_t stored =
+      out.store().contains_mask(std::span(hashes.data(), n));
+  std::size_t m = 0;  // new children, compacted to the front
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((stored >> i) & 1) continue;
+    kids[m] = kids[i];
+    hashes[m++] = hashes[i];
+  }
+  std::size_t appended = 1;
+  if (lanes != nullptr && m > 1) {
+    std::vector<db::PutBatch> lane_out(m, out.deferred());
+    std::array<std::size_t, 16> lane_appended{};
+    lanes->fork_join(m, [&](std::size_t i) {
+      lane_appended[i] = persist_new(kids[i], hashes[i], lane_out[i], nullptr);
+    });
+    for (std::size_t i = 0; i < m; ++i) {
+      put_ok(out.append(std::move(lane_out[i])));
+      appended += lane_appended[i];
+    }
+  } else {
+    for (std::size_t i = 0; i < m; ++i)
+      appended += persist_new(kids[i], hashes[i], out, lanes);
+  }
+  put_ok(out.put(hash, detail::encode_node(node)));
+  return appended;
+}
+
+}  // namespace
+
+Hash256 MerklePatriciaTrie::root_hash(ThreadPool* lanes) const {
   if (root_ == nullptr) return empty_root();
-  const Bytes& ref = detail::node_ref(root_.get());
+  if (lanes != nullptr) hash_subtries(root_.get(), *lanes);
+  const std::span<const std::uint8_t> ref = detail::node_ref(root_.get());
   if (ref.size() == 32) {
     Hash256 h;
     std::memcpy(h.bytes.data(), ref.data(), 32);
@@ -534,7 +655,7 @@ Hash256 MerklePatriciaTrie::root_hash() const {
   }
   // Tiny root whose encoding inlines below 32 bytes: the root is always
   // hashed regardless (yellow paper), and the inline ref IS the encoding.
-  return Hash256{crypto::keccak256(std::span(ref))};
+  return Hash256{crypto::keccak256(ref)};
 }
 
 MerklePatriciaTrie MerklePatriciaTrie::from_root(const Hash256& root,
@@ -550,59 +671,28 @@ MerklePatriciaTrie MerklePatriciaTrie::from_root(const Hash256& root,
   return trie;
 }
 
-namespace {
-
-// Persists the subtree rooted at a hash-referenced node.  Prunes at nodes
-// the store already holds (content-addressing: an identical hash is an
-// identical subtree) and never descends into inline children — their whole
-// subtree is embedded in this node's encoding.
-//
-// POST-ORDER on purpose: children append strictly before their parent.
-// Crash recovery truncates a *suffix* of the append-only file (everything
-// past the last durability barrier), so with post-order appends a node's
-// presence implies its whole closure's presence — which is exactly what
-// makes the contains() prune sound even against a barrier that races an
-// in-flight persist, and what lets persist_commitment() early-out on a
-// root the store already holds.  (Compaction preserves the invariant
-// differently: the rewritten file is adopted atomically via the manifest,
-// never as a partially-trusted prefix.)
-std::size_t persist_subtree(const Node* node, db::NodeStore& store) {
-  const Bytes& ref = detail::node_ref(node);
-  BP_ASSERT(ref.size() == 32);
-  Hash256 h;
-  std::memcpy(h.bytes.data(), ref.data(), 32);
-  if (store.contains(h)) return 0;
-  // New to this store.  An unloaded stub only reaches here when persisting
-  // into a *different* store than it came from; materialize it first.
-  detail::resolved(node);
-  std::size_t appended = 0;
-  const auto visit = [&](const Node* child) {
-    if (child != nullptr && detail::node_ref(child).size() == 32)
-      appended += persist_subtree(child, store);
-  };
-  if (node->kind == Node::Kind::kExtension) {
-    visit(node->child.get());
-  } else if (node->kind == Node::Kind::kBranch) {
-    for (const auto& child : node->children) visit(child.get());
-  }
-  const Bytes enc = detail::encode_node(node);
-  const db::Status st = store.put(h, std::span(enc));
-  BP_ASSERT_MSG(st.ok(), "node store put failed");
-  return appended + 1;
+std::size_t MerklePatriciaTrie::persist_nodes(db::NodeStore& store) const {
+  db::WriteSession session(store);
+  db::PutBatch out(session);
+  const std::size_t appended = persist_nodes(out);
+  put_ok(out.flush());
+  return appended;
 }
 
-}  // namespace
-
-std::size_t MerklePatriciaTrie::persist_nodes(db::NodeStore& store) const {
+std::size_t MerklePatriciaTrie::persist_nodes(db::PutBatch& out,
+                                              ThreadPool* lanes) const {
   if (root_ == nullptr) return 0;
-  const Bytes& ref = detail::node_ref(root_.get());
-  if (ref.size() == 32) return persist_subtree(root_.get(), store);
+  const std::span<const std::uint8_t> ref = detail::node_ref(root_.get());
+  if (ref.size() == 32) {
+    const Hash256 h = ref_hash(root_.get());
+    if (out.store().contains(h)) return 0;
+    return persist_new(root_.get(), h, out, lanes);
+  }
   // Tiny root: its inline ref IS the encoding; store it under its keccak so
   // from_root(root_hash()) can find it.
-  const Hash256 h{crypto::keccak256(std::span(ref))};
-  if (store.contains(h)) return 0;
-  const db::Status st = store.put(h, std::span(ref));
-  BP_ASSERT_MSG(st.ok(), "node store put failed");
+  const Hash256 h{crypto::keccak256(ref)};
+  if (out.store().contains(h)) return 0;
+  put_ok(out.put(h, Bytes(ref.begin(), ref.end())));
   return 1;
 }
 

@@ -24,8 +24,13 @@
 
 #include "types/address.hpp"
 
+namespace blockpilot {
+class ThreadPool;
+}  // namespace blockpilot
+
 namespace blockpilot::db {
 class NodeStore;
+class PutBatch;
 }  // namespace blockpilot::db
 
 namespace blockpilot::trie {
@@ -87,7 +92,11 @@ class MerklePatriciaTrie {
 
   /// Keccak-256 commitment over the whole trie.  The canonical empty-trie
   /// root (keccak of the RLP empty string) is returned for an empty trie.
-  Hash256 root_hash() const;
+  /// With `lanes`, the subtries below the first node with two or more
+  /// unhashed children (the root branch, or the branch under a root
+  /// extension) hash as lanes of lanes->fork_join, and the spine above
+  /// them on the calling thread; the result is the same either way.
+  Hash256 root_hash(ThreadPool* lanes = nullptr) const;
 
   /// The canonical empty-trie root constant.
   static Hash256 empty_root();
@@ -104,8 +113,18 @@ class MerklePatriciaTrie {
   /// (content-addressed: walks prune at nodes the store already holds, and
   /// at unloaded stubs, which by construction came from a persisted root).
   /// Returns the number of nodes appended.  After it returns, from_root
-  /// (root_hash(), store) reconstructs this exact trie.
+  /// (root_hash(), store) reconstructs this exact trie.  Opens a
+  /// db::WriteSession on `store` for the walk.
   std::size_t persist_nodes(db::NodeStore& store) const;
+
+  /// persist_nodes into the caller's batch (and so inside its session);
+  /// the caller flushes it.  With `lanes`, the subtries below the first
+  /// node with two or more new children walk as lanes of lanes->fork_join,
+  /// each into a deferred batch flushed after the join, and that node and
+  /// the spine above it are put after them: every node still lands after
+  /// all of its children.
+  std::size_t persist_nodes(db::PutBatch& out,
+                            ThreadPool* lanes = nullptr) const;
 
   /// Internal: root node pointer for the proof generator (proof.hpp).
   /// nullptr for an empty trie.  Not stable API.
@@ -137,7 +156,9 @@ class SecureTrie {
     inner_.erase(std::span(hashed));
   }
 
-  Hash256 root_hash() const { return inner_.root_hash(); }
+  Hash256 root_hash(ThreadPool* lanes = nullptr) const {
+    return inner_.root_hash(lanes);
+  }
   std::size_t size() const noexcept { return inner_.size(); }
   bool empty() const noexcept { return inner_.empty(); }
 
@@ -149,6 +170,10 @@ class SecureTrie {
   }
   std::size_t persist_nodes(db::NodeStore& store) const {
     return inner_.persist_nodes(store);
+  }
+  std::size_t persist_nodes(db::PutBatch& out,
+                            ThreadPool* lanes = nullptr) const {
+    return inner_.persist_nodes(out, lanes);
   }
   const MerklePatriciaTrie& inner() const noexcept { return inner_; }
 

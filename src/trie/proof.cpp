@@ -44,7 +44,7 @@ Proof prove(const MerklePatriciaTrie& trie,
         if (remaining.empty()) return proof;  // value (or absence) here
         const std::uint8_t nib = remaining[0];
         remaining = remaining.subspan(1);
-        node = node->children[nib].get();
+        node = node->children()[nib].get();
         break;
       }
     }

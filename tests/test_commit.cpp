@@ -315,6 +315,17 @@ TEST(NodeCache, OnlyVerifiedStubLoadsEnterTheGlobalCache) {
 
 Address addr_of(std::uint64_t id) { return Address::from_id(id); }
 
+// The lanes parallel commitment runs on (see WorldState::state_root): the
+// differentials below root some states on them and check the result
+// against the serial root and the full-rebuild oracle.
+ThreadPool& commit_lanes() {
+  static ThreadPool pool(3);
+  return pool;
+}
+
+// Serial roots, then roots on the commit lanes.
+std::array<ThreadPool*, 2> lane_modes() { return {nullptr, &commit_lanes()}; }
+
 TEST(IncrementalRoot, MatchesOracleOnBasicFlow) {
   WorldState ws;
   EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild());
@@ -417,34 +428,47 @@ TEST(IncrementalRoot, CopiesDivergeIndependently) {
 }
 
 TEST(IncrementalRoot, DifferentialFuzzAgainstOracle) {
+  // `ws` roots serially, its twin `lanes` (same writes) on the commit
+  // lanes: both must land on the oracle at every check.
   for (const std::uint64_t seed : {1ULL, 42ULL, 0xdecafULL}) {
     Xoshiro256 rng(seed);
     WorldState ws;
+    WorldState lanes;
+    const auto set = [&](const StateKey& key, const U256& value) {
+      ws.set(key, value);
+      lanes.set(key, value);
+    };
     for (int step = 0; step < 400; ++step) {
       const Address addr = addr_of(rng() % 12);
       switch (rng() % 5) {
         case 0:
-          ws.set(StateKey::balance(addr), U256{rng() % 1000});
+          set(StateKey::balance(addr), U256{rng() % 1000});
           break;
         case 1:
-          ws.set(StateKey::nonce(addr), U256{rng() % 50});
+          set(StateKey::nonce(addr), U256{rng() % 50});
           break;
         case 2:
-          ws.set(StateKey::storage(addr, U256{rng() % 20}), U256{rng() % 256});
+          set(StateKey::storage(addr, U256{rng() % 20}), U256{rng() % 256});
           break;
         case 3:  // erase a slot
-          ws.set(StateKey::storage(addr, U256{rng() % 20}), U256{});
+          set(StateKey::storage(addr, U256{rng() % 20}), U256{});
           break;
         case 4:  // drain an account toward emptiness
-          ws.set(StateKey::balance(addr), U256{});
-          ws.set(StateKey::nonce(addr), U256{});
+          set(StateKey::balance(addr), U256{});
+          set(StateKey::nonce(addr), U256{});
           break;
       }
-      if (step % 7 == 0)
-        ASSERT_EQ(ws.state_root(), ws.state_root_full_rebuild())
+      if (step % 7 == 0) {
+        const Hash256 oracle = ws.state_root_full_rebuild();
+        ASSERT_EQ(ws.state_root(), oracle)
             << "seed " << seed << " step " << step;
+        ASSERT_EQ(lanes.state_root(&commit_lanes()), oracle)
+            << "seed " << seed << " step " << step << " (lanes)";
+      }
     }
     EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild()) << "seed " << seed;
+    EXPECT_EQ(lanes.state_root(&commit_lanes()), ws.state_root())
+        << "seed " << seed;
   }
 }
 
@@ -487,7 +511,7 @@ struct Tracked {
 // the full-rebuild oracle.
 ::testing::AssertionResult matches_oracle(
     const Tracked& t, const std::unordered_set<StateKey>& universe,
-    bool root = true) {
+    bool root = true, ThreadPool* lanes = nullptr) {
   for (const StateKey& key : universe) {
     const auto it = t.model.find(key);
     const U256 expect = it == t.model.end() ? U256{} : it->second;
@@ -496,7 +520,7 @@ struct Tracked {
              << key.to_string() << " reads " << t.ws.get(key).to_hex()
              << ", expected " << expect.to_hex();
   }
-  if (root && t.ws.state_root() != t.ws.state_root_full_rebuild())
+  if (root && t.ws.state_root(lanes) != t.ws.state_root_full_rebuild())
     return ::testing::AssertionFailure() << "root differs from the oracle";
   return ::testing::AssertionSuccess();
 }
@@ -510,7 +534,8 @@ TEST(ForkedCopies, DifferentialFuzzAgainstOracle) {
   // shard in either order, and writes to a moved-from state.  Every
   // state's get() is checked on every block over every key any state ever
   // wrote; the fork roots are checked against the from-scratch oracle on
-  // every block, the other states' roots in turn.
+  // every block, the other states' roots in turn.  Odd blocks root on the
+  // commit lanes, even blocks serially.
   constexpr int kBlocks = 1024;
   Xoshiro256 rng(0x5EED5);
   std::uint64_t builds = 0;
@@ -603,9 +628,10 @@ TEST(ForkedCopies, DifferentialFuzzAgainstOracle) {
     const std::array<const Tracked*, 5> states{&a, &b, &head, &aa, &assigned};
     for (const Tracked* t : states)
       for (const auto& [key, value] : t->model) universe.insert(key);
+    ThreadPool* lanes = block % 2 ? &commit_lanes() : nullptr;
     for (std::size_t i = 0; i < states.size(); ++i) {
       const bool root = i < 2 || i == 2 + block % 3;
-      ASSERT_TRUE(matches_oracle(*states[i], universe, root))
+      ASSERT_TRUE(matches_oracle(*states[i], universe, root, lanes))
           << "block " << block << " state " << i;
     }
     for (const Tracked* fork : {&a, &b}) {
@@ -621,7 +647,8 @@ TEST(ForkedCopies, DifferentialFuzzAgainstOracle) {
     ASSERT_EQ(survivor.ws.account_count(), 0u) << "block " << block;
     random_writes(survivor, addr_space, 1 + static_cast<int>(rng() % 3));
     for (const auto& [key, value] : survivor.model) universe.insert(key);
-    ASSERT_TRUE(matches_oracle(survivor, universe)) << "block " << block;
+    ASSERT_TRUE(matches_oracle(survivor, universe, true, lanes))
+        << "block " << block;
   }
   // Full oracle check on the surviving lineage.
   ASSERT_TRUE(matches_oracle(head, universe));
@@ -674,99 +701,116 @@ TEST(CommitHandoff, ChainsOfUnsealedChildrenAdoptInOrder) {
   // parent roots, then the chain roots parent-first.  Every child adopts
   // its parent's fold (entries the parent adopted included) and lands on
   // the oracle.
-  for (int depth = 1; depth <= 3; ++depth) {
-    Xoshiro256 rng(0xC4A1 + depth);
-    std::vector<std::unique_ptr<WorldState>> chain;
-    chain.push_back(std::make_unique<WorldState>(handoff_base(rng)));
-    handoff_writes(rng, *chain.back(), 30);
-    for (int d = 0; d < depth; ++d) {
-      chain.push_back(std::make_unique<WorldState>(*chain.back()));
+  for (ThreadPool* lanes : lane_modes()) {
+    SCOPED_TRACE(lanes == nullptr ? "serial" : "lanes");
+    for (int depth = 1; depth <= 3; ++depth) {
+      Xoshiro256 rng(0xC4A1 + depth);
+      std::vector<std::unique_ptr<WorldState>> chain;
+      chain.push_back(std::make_unique<WorldState>(handoff_base(rng)));
       handoff_writes(rng, *chain.back(), 30);
-    }
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      EXPECT_EQ(chain[i]->state_root(), chain[i]->state_root_full_rebuild())
-          << "depth " << depth << " link " << i;
-      // Each copy was taken before its source adopted anything itself.
-      if (i > 0) EXPECT_EQ(adopted(*chain[i]), 1u);
+      for (int d = 0; d < depth; ++d) {
+        chain.push_back(std::make_unique<WorldState>(*chain.back()));
+        handoff_writes(rng, *chain.back(), 30);
+      }
+      for (std::size_t i = 0; i < chain.size(); ++i) {
+        EXPECT_EQ(chain[i]->state_root(lanes),
+                  chain[i]->state_root_full_rebuild())
+            << "depth " << depth << " link " << i;
+        // Each copy was taken before its source adopted anything itself.
+        if (i > 0) EXPECT_EQ(adopted(*chain[i]), 1u);
+      }
     }
   }
 }
 
 TEST(CommitHandoff, ChildRootedBeforeParentFallsBack) {
-  Xoshiro256 rng(0xFA11);
-  WorldState parent = handoff_base(rng);
-  handoff_writes(rng, parent, 40);
-  WorldState child = parent;
-  handoff_writes(rng, child, 40);
-  WorldState grandchild = child;
-  handoff_writes(rng, grandchild, 40);
+  for (ThreadPool* lanes : lane_modes()) {
+    SCOPED_TRACE(lanes == nullptr ? "serial" : "lanes");
+    Xoshiro256 rng(0xFA11);
+    WorldState parent = handoff_base(rng);
+    handoff_writes(rng, parent, 40);
+    WorldState child = parent;
+    handoff_writes(rng, child, 40);
+    WorldState grandchild = child;
+    handoff_writes(rng, grandchild, 40);
 
-  // Grandchild first, then child: neither source has folded yet.
-  EXPECT_EQ(grandchild.state_root(), grandchild.state_root_full_rebuild());
-  EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
-  EXPECT_EQ(parent.state_root(), parent.state_root_full_rebuild());
-  EXPECT_EQ(adopted(grandchild), 0u);
-  EXPECT_EQ(adopted(child), 0u);
+    // Grandchild first, then child: neither source has folded yet.
+    EXPECT_EQ(grandchild.state_root(lanes),
+              grandchild.state_root_full_rebuild());
+    EXPECT_EQ(child.state_root(lanes), child.state_root_full_rebuild());
+    EXPECT_EQ(parent.state_root(lanes), parent.state_root_full_rebuild());
+    EXPECT_EQ(adopted(grandchild), 0u);
+    EXPECT_EQ(adopted(child), 0u);
+  }
 }
 
 TEST(CommitHandoff, ParentWrittenAfterCopyFallsBack) {
-  Xoshiro256 rng(0xA77E);
-  WorldState parent = handoff_base(rng);
-  handoff_writes(rng, parent, 40);
-  WorldState child = parent;
-  handoff_writes(rng, child, 20);
-  // A write to a slot and one to an account body the child inherited
-  // unfolded: the parent's fold no longer matches what the child copied.
-  parent.set(StateKey::storage(addr_of(3), U256{7}), U256{4242});
-  parent.set(StateKey::balance(addr_of(4)), U256{77});
+  for (ThreadPool* lanes : lane_modes()) {
+    SCOPED_TRACE(lanes == nullptr ? "serial" : "lanes");
+    Xoshiro256 rng(0xA77E);
+    WorldState parent = handoff_base(rng);
+    handoff_writes(rng, parent, 40);
+    WorldState child = parent;
+    handoff_writes(rng, child, 20);
+    // A write to a slot and one to an account body the child inherited
+    // unfolded: the parent's fold no longer matches what the child copied.
+    parent.set(StateKey::storage(addr_of(3), U256{7}), U256{4242});
+    parent.set(StateKey::balance(addr_of(4)), U256{77});
 
-  EXPECT_EQ(parent.state_root(), parent.state_root_full_rebuild());
-  EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
-  EXPECT_EQ(adopted(child), 0u);
-  EXPECT_NE(child.get(StateKey::storage(addr_of(3), U256{7})), U256{4242});
+    EXPECT_EQ(parent.state_root(lanes), parent.state_root_full_rebuild());
+    EXPECT_EQ(child.state_root(lanes), child.state_root_full_rebuild());
+    EXPECT_EQ(adopted(child), 0u);
+    EXPECT_NE(child.get(StateKey::storage(addr_of(3), U256{7})), U256{4242});
+  }
 }
 
 TEST(CommitHandoff, SiblingsShareOneParentFold) {
-  Xoshiro256 rng(0x51B5);
-  WorldState parent = handoff_base(rng);
-  handoff_writes(rng, parent, 40);
-  WorldState left = parent;
-  WorldState right = parent;
-  WorldState idle = parent;  // no writes of its own
-  handoff_writes(rng, left, 25);
-  handoff_writes(rng, right, 25);
+  for (ThreadPool* lanes : lane_modes()) {
+    SCOPED_TRACE(lanes == nullptr ? "serial" : "lanes");
+    Xoshiro256 rng(0x51B5);
+    WorldState parent = handoff_base(rng);
+    handoff_writes(rng, parent, 40);
+    WorldState left = parent;
+    WorldState right = parent;
+    WorldState idle = parent;  // no writes of its own
+    handoff_writes(rng, left, 25);
+    handoff_writes(rng, right, 25);
 
-  const Hash256 parent_root = parent.state_root();
-  EXPECT_EQ(parent_root, parent.state_root_full_rebuild());
-  for (WorldState* sibling : {&left, &right, &idle}) {
-    EXPECT_EQ(sibling->state_root(), sibling->state_root_full_rebuild());
-    EXPECT_EQ(adopted(*sibling), adopted(parent) + 1);
+    const Hash256 parent_root = parent.state_root(lanes);
+    EXPECT_EQ(parent_root, parent.state_root_full_rebuild());
+    for (WorldState* sibling : {&left, &right, &idle}) {
+      EXPECT_EQ(sibling->state_root(lanes), sibling->state_root_full_rebuild());
+      EXPECT_EQ(adopted(*sibling), adopted(parent) + 1);
+    }
+    EXPECT_EQ(idle.state_root(lanes), parent_root);
+    // The siblings' folds stay private: the parent still roots to its own.
+    EXPECT_EQ(parent.state_root(lanes), parent_root);
   }
-  EXPECT_EQ(idle.state_root(), parent_root);
-  // The siblings' folds stay private: the parent still roots to its own.
-  EXPECT_EQ(parent.state_root(), parent_root);
 }
 
 TEST(CommitHandoff, PrunedInParentResurrectedInChild) {
-  WorldState base;
-  base.set(StateKey::balance(addr_of(9)), U256{5});
-  base.set(StateKey::storage(addr_of(9), U256{1}), U256{11});
-  base.set(StateKey::storage(addr_of(9), U256{2}), U256{22});
-  base.set(StateKey::balance(addr_of(10)), U256{1});
-  (void)base.state_root();
+  for (ThreadPool* lanes : lane_modes()) {
+    SCOPED_TRACE(lanes == nullptr ? "serial" : "lanes");
+    WorldState base;
+    base.set(StateKey::balance(addr_of(9)), U256{5});
+    base.set(StateKey::storage(addr_of(9), U256{1}), U256{11});
+    base.set(StateKey::storage(addr_of(9), U256{2}), U256{22});
+    base.set(StateKey::balance(addr_of(10)), U256{1});
+    (void)base.state_root(lanes);
 
-  WorldState parent = base;
-  parent.set(StateKey::balance(addr_of(9)), U256{});
-  parent.set(StateKey::storage(addr_of(9), U256{1}), U256{});
-  parent.set(StateKey::storage(addr_of(9), U256{2}), U256{});  // now empty
-  WorldState child = parent;
-  child.set(StateKey::storage(addr_of(9), U256{3}), U256{33});  // resurrect
+    WorldState parent = base;
+    parent.set(StateKey::balance(addr_of(9)), U256{});
+    parent.set(StateKey::storage(addr_of(9), U256{1}), U256{});
+    parent.set(StateKey::storage(addr_of(9), U256{2}), U256{});  // now empty
+    WorldState child = parent;
+    child.set(StateKey::storage(addr_of(9), U256{3}), U256{33});  // resurrect
 
-  EXPECT_EQ(parent.state_root(), parent.state_root_full_rebuild());
-  EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
-  EXPECT_EQ(adopted(child), adopted(parent) + 1);
-  EXPECT_EQ(child.storage_root(addr_of(9)),
-            state::storage_root_of(child.find_account(addr_of(9))->storage));
+    EXPECT_EQ(parent.state_root(lanes), parent.state_root_full_rebuild());
+    EXPECT_EQ(child.state_root(lanes), child.state_root_full_rebuild());
+    EXPECT_EQ(adopted(child), adopted(parent) + 1);
+    EXPECT_EQ(child.storage_root(addr_of(9)),
+              state::storage_root_of(child.find_account(addr_of(9))->storage));
+  }
 }
 
 // ---------------------------------------------------------------------------

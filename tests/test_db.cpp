@@ -23,15 +23,19 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <shared_mutex>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/blockpilot.hpp"
 #include "db/node_store.hpp"
 #include "db/page_file.hpp"
 #include "db/paged_node_store.hpp"
+#include "rlp/rlp.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "trie/mpt.hpp"
@@ -577,8 +581,12 @@ TEST(PagedNodeStore, SweepKeepsPutsRacingItsScan) {
   std::vector<MerklePatriciaTrie> versions{next_version(8)};  // partial page
   ASSERT_GT(store->stats().file_bytes, 0u);
 
+  // Commits racing the sweep stay below the young horizon: the sweeper
+  // thread may start late, and a version persisted before its snapshot is
+  // live only while its puts are young (it is never committed).
   std::atomic<bool> done{false};
   Status swept;
+  std::size_t racing_commits = 0;
   {
     std::jthread sweeper([&] {
       swept = store->compact();
@@ -591,8 +599,10 @@ TEST(PagedNodeStore, SweepKeepsPutsRacingItsScan) {
         t.put(std::span(key), std::span(old_value));
       }
       versions.push_back(next_version(4));
-      if (versions.size() % 3 == 0) {
+      if (versions.size() % 3 == 0 &&
+          racing_commits + 1 < opts.retained_roots) {
         ASSERT_TRUE(store->commit_root(t.root_hash(), ++height).ok());
+        ++racing_commits;
       }
     } while (!done.load());
   }
@@ -607,6 +617,136 @@ TEST(PagedNodeStore, SweepKeepsPutsRacingItsScan) {
   ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
   EXPECT_EQ(store->durable_root(), t.root_hash());
   EXPECT_EQ(store->durable_height(), height);
+  EXPECT_TRUE(reloads(*store, t));
+}
+
+// Forwards to a PagedNodeStore and, once armed, parks the next put until
+// the store's compaction has swapped files or a timeout passed.  Shares the
+// inner store's writer gate, so a persist walk through it opens a real
+// session on the inner store.
+class ParkingStore final : public db::NodeStore {
+ public:
+  static constexpr auto kPark = std::chrono::milliseconds(300);
+
+  explicit ParkingStore(db::PagedNodeStore& inner) : inner_(inner) {}
+
+  void arm() { armed_ = true; }
+  bool parked() const { return parked_.load(); }
+
+  Status put(const Hash256& hash,
+             std::span<const std::uint8_t> encoding) override {
+    park();
+    return inner_.put(hash, encoding);
+  }
+  Status put_batch(std::span<const db::NodeRecord> nodes) override {
+    park();
+    return inner_.put_batch(nodes);
+  }
+  Status get(const Hash256& hash,
+             std::vector<std::uint8_t>& out) const override {
+    return inner_.get(hash, out);
+  }
+  bool contains(const Hash256& hash) const override {
+    return inner_.contains(hash);
+  }
+  std::uint64_t contains_mask(std::span<const Hash256> hashes) const override {
+    return inner_.contains_mask(hashes);
+  }
+  Status commit_root(const Hash256& root, std::uint64_t height) override {
+    return inner_.commit_root(root, height);
+  }
+  Hash256 durable_root() const override { return inner_.durable_root(); }
+  std::uint64_t durable_height() const override {
+    return inner_.durable_height();
+  }
+  Stats stats() const override { return inner_.stats(); }
+  std::shared_mutex* writer_gate() override { return inner_.writer_gate(); }
+
+ private:
+  void park() {
+    if (!armed_) return;
+    armed_ = false;
+    const std::uint64_t seq = inner_.file_seq();
+    parked_ = true;
+    const auto deadline = std::chrono::steady_clock::now() + kPark;
+    while (inner_.file_seq() == seq &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  db::PagedNodeStore& inner_;
+  bool armed_ = false;
+  std::atomic<bool> parked_{false};
+};
+
+TEST(PagedNodeStore, SweepWaitsForAPersistWalkThatFoundADeadNode) {
+  // A persist walk finds a dead node present (a leaf restored to a value
+  // last seen long ago), and a sweep drops that node before the walk puts
+  // the parent that references it.  The sweep's swap must wait for the
+  // walk, so the parent's put races the sweep (and brings the leaf along)
+  // instead of landing after the swap with its child gone.  The parking
+  // store holds the parent's put until the swap: without the wait, the
+  // swap happens and the leaf is lost.
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 512;
+  opts.retained_roots = 2;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+
+  // Two keys under different root nibbles: the root is a branch over two
+  // hash-referenced leaves.
+  std::array<std::uint8_t, 32> key_a{}, key_b{};
+  key_a[0] = 0x10;
+  key_b[0] = 0x20;
+  Xoshiro256 rng(0xDEAD);
+  MerklePatriciaTrie t;
+  const auto put = [&t](const std::array<std::uint8_t, 32>& key,
+                        const Bytes& value) {
+    t.put(std::span(key), std::span(value));
+  };
+  const Bytes first_a = random_bytes(rng, 40);
+  put(key_a, first_a);
+  put(key_b, random_bytes(rng, 40));
+  std::uint64_t height = 0;
+  t.persist_nodes(*store);
+  ASSERT_TRUE(store->commit_root(t.root_hash(), ++height).ok());
+  // Rewrite both keys until the first leaf of `a` is neither retained nor
+  // young: the sweep's walk no longer keeps it.
+  for (int v = 0; v < 6; ++v) {
+    put(key_a, random_bytes(rng, 40));
+    put(key_b, random_bytes(rng, 40));
+    t.persist_nodes(*store);
+    ASSERT_TRUE(store->commit_root(t.root_hash(), ++height).ok());
+  }
+  // Restoring `a` makes its dead leaf a child of the next root, which is
+  // the only new node of that version.
+  put(key_a, first_a);
+
+  ParkingStore parking(*store);
+  parking.arm();
+  std::jthread writer([&] { t.persist_nodes(parking); });
+  while (!parking.parked()) std::this_thread::yield();
+  ASSERT_TRUE(store->compact().ok());
+  writer.join();
+  EXPECT_EQ(store->stats().compactions, 1u);
+
+  // Every child the new root references survived the sweep.
+  std::vector<std::uint8_t> enc;
+  ASSERT_TRUE(store->get(t.root_hash(), enc).ok());
+  rlp::Reader in{std::span(enc)};
+  rlp::Reader items = in.list();
+  ASSERT_EQ(items.count(), 17u);
+  std::size_t children = 0;
+  for (int i = 0; i < 16; ++i) {
+    const auto ref = items.bytes();
+    if (ref.size() != 32) continue;
+    Hash256 child;
+    std::memcpy(child.bytes.data(), ref.data(), 32);
+    EXPECT_TRUE(store->contains(child)) << "child " << i << " was swept";
+    ++children;
+  }
+  EXPECT_EQ(children, 2u);
   EXPECT_TRUE(reloads(*store, t));
 }
 
@@ -694,6 +834,165 @@ TEST(PagedNodeStore, SweepCopiesJumboRecordsFromItsScan) {
   ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
   EXPECT_EQ(store->durable_root(), root);
   check();
+}
+
+// -------------------------------------------------- parallel persist lanes
+
+// Every node reachable from `state_root` (account-trie nodes and, through
+// each account leaf's storageRoot, that account's storage trie) reads back
+// from `store`.  Walks the stored encodings directly, so a missing node is
+// reported rather than aborting a stub load.
+::testing::AssertionResult closure_loads(const db::NodeStore& store,
+                                         const Hash256& state_root) {
+  struct Ref {
+    Hash256 hash;
+    bool account_trie;
+  };
+  std::vector<Ref> todo{{state_root, true}};
+  std::unordered_set<Hash256> seen;
+  std::vector<std::uint8_t> enc;
+  const auto hash_of = [](std::span<const std::uint8_t> ref) {
+    Hash256 h;
+    std::memcpy(h.bytes.data(), ref.data(), 32);
+    return h;
+  };
+  while (!todo.empty()) {
+    const Ref r = todo.back();
+    todo.pop_back();
+    if (!seen.insert(r.hash).second) continue;
+    if (!store.get(r.hash, enc).ok())
+      return ::testing::AssertionFailure()
+             << "node " << r.hash.to_hex() << " is missing";
+    rlp::Reader in{std::span(enc)};
+    rlp::Reader items = in.list();
+    const std::size_t n = items.count();
+    const auto child = [&] {
+      if (items.next_is_list()) {
+        (void)items.raw();  // an inline node holds no hash refs
+        return;
+      }
+      const auto ref = items.bytes();
+      if (ref.size() == 32) todo.push_back({hash_of(ref), r.account_trie});
+    };
+    if (n == 17) {
+      for (int i = 0; i < 16; ++i) child();
+    } else if (n == 2) {
+      const auto hp = items.bytes();
+      const bool leaf = !hp.empty() && ((hp[0] >> 4) & 2) != 0;
+      if (!leaf) {
+        child();
+      } else if (r.account_trie) {
+        rlp::Reader account{items.bytes()};
+        rlp::Reader fields = account.list();
+        (void)fields.bytes();  // nonce
+        (void)fields.bytes();  // balance
+        const auto storage_root = fields.bytes();
+        if (storage_root.size() == 32 &&
+            hash_of(storage_root) != MerklePatriciaTrie::empty_root())
+          todo.push_back({hash_of(storage_root), false});
+      }
+    }
+    if (!in.ok())
+      return ::testing::AssertionFailure()
+             << "node " << r.hash.to_hex() << " is malformed";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Balances over 160 accounts, storage in every fourth.
+void commitment_writes(Xoshiro256& rng, state::WorldState& ws, int count) {
+  for (int i = 0; i < count; ++i) {
+    const Address addr = Address::from_id(1 + rng.below(160));
+    if (addr.bytes[19] % 4 == 0) {
+      ws.set(state::StateKey::storage(addr, U256{rng.below(96)}),
+             rng.below(6) == 0 ? U256{} : U256{1 + rng.below(1'000'000)});
+    } else {
+      ws.set(state::StateKey::balance(addr), U256{1 + rng.below(1'000'000)});
+    }
+  }
+}
+
+TEST(ParallelPersist, LanesStoreTheSerialNodeSetAndReloadAfterReopen) {
+  // One lineage persists on the commit lanes into a PagedNodeStore, its
+  // twin serially into the reference store: the roots and the stored node
+  // sets agree at every height, and the reopened paged store holds every
+  // node reachable from its durable root.
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 512;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  db::InMemoryNodeStore reference;
+  ThreadPool lanes(3);
+  Xoshiro256 rng(0x1A7E5);
+  state::WorldState ws;
+  commitment_writes(rng, ws, 1500);
+  state::WorldState twin = ws;
+  Hash256 root;
+  for (std::uint64_t height = 1; height <= 12; ++height) {
+    if (height > 1) {
+      Xoshiro256 block_rng(height);
+      commitment_writes(block_rng, ws, 80);
+      Xoshiro256 twin_rng(height);
+      commitment_writes(twin_rng, twin, 80);
+    }
+    EXPECT_GT(ws.persist_commitment(*store, &lanes), 0u);
+    (void)twin.persist_commitment(reference);
+    root = ws.state_root();
+    ASSERT_EQ(root, twin.state_root()) << "height " << height;
+    ASSERT_EQ(root, ws.state_root_full_rebuild()) << "height " << height;
+    ASSERT_EQ(store->stats().nodes, reference.stats().nodes)
+        << "height " << height;
+    ASSERT_TRUE(store->commit_root(root, height).ok());
+  }
+  store.reset();
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  EXPECT_EQ(store->durable_root(), root);
+  EXPECT_TRUE(closure_loads(*store, root));
+  trie::NodeCache::global().clear();
+  EXPECT_EQ(trie::SecureTrie::from_root(root, *store).root_hash(), root);
+}
+
+TEST(ParallelPersist, CrashAfterLaneAppendsRecoversToDurableRoot) {
+  // Kill the store after a parallel persist appended a block's nodes but
+  // before its barrier: recovery lands on the previous durable root with
+  // its closure whole, and persisting the block again (its nodes are gone)
+  // makes the block's closure whole too.
+  TempDir dir;
+  db::PagedNodeStore::Options opts;
+  opts.page_size = 512;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  ThreadPool lanes(3);
+  Xoshiro256 rng(0xC2A5);
+  state::WorldState ws;
+  commitment_writes(rng, ws, 1500);
+  Hash256 durable;
+  for (std::uint64_t height = 1; height <= 5; ++height) {
+    commitment_writes(rng, ws, 80);
+    (void)ws.persist_commitment(*store, &lanes);
+    durable = ws.state_root();
+    ASSERT_TRUE(store->commit_root(durable, height).ok());
+  }
+  commitment_writes(rng, ws, 80);
+  ASSERT_GT(ws.persist_commitment(*store, &lanes), 0u);
+  const Hash256 unsealed = ws.state_root();
+  const std::string data_path = store->data_file_path();
+  store.reset();  // kill: the lanes' appends never reach a barrier
+  tear_tail(data_path, 77);
+
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  EXPECT_EQ(store->durable_root(), durable);
+  EXPECT_EQ(store->durable_height(), 5u);
+  EXPECT_TRUE(closure_loads(*store, durable));
+  EXPECT_FALSE(store->contains(unsealed));
+
+  EXPECT_GT(ws.persist_commitment(*store, &lanes), 0u);
+  ASSERT_TRUE(store->commit_root(unsealed, 6).ok());
+  store.reset();
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, opts, store).ok());
+  EXPECT_EQ(store->durable_root(), unsealed);
+  EXPECT_TRUE(closure_loads(*store, unsealed));
 }
 
 // ------------------------------------------------------- chain-level parity

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -215,6 +217,101 @@ TEST(ThreadPool, ForkJoinRethrowsAfterEveryLaneReturns) {
                               }),
                std::runtime_error);
   EXPECT_EQ(finished.load(), 2);  // the join outlived the failure
+}
+
+// ---- fork_join's helping join: the caller runs unclaimed lanes ----------
+
+// Runs `body` on one of `pool`'s workers and reports whether it returned
+// within the join timeout (a deadlocked region fails instead of hanging).
+bool completes_on_worker(ThreadPool& pool, std::function<void()> body) {
+  std::promise<void> done;
+  auto finished = done.get_future();
+  pool.submit([&body, &done] {
+    body();
+    done.set_value();
+  });
+  return finished.wait_for(kJoinTimeout) == std::future_status::ready;
+}
+
+TEST(ThreadPool, NestedForkJoinFromTheOnlyWorkerCompletes) {
+  // No other worker exists to run the lanes: the calling worker runs them.
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  EXPECT_TRUE(completes_on_worker(pool, [&] {
+    pool.fork_join(4, [&](std::size_t) {
+      pool.fork_join(3, [&](std::size_t) { ran.fetch_add(1); });
+    });
+  }));
+  EXPECT_EQ(ran.load(), 12);
+}
+
+TEST(ThreadPool, NestedRegionsOnASaturatedPoolComplete) {
+  // Every worker runs a region whose lanes open regions of their own, and
+  // the calling thread opens one more on top: no lane is ever left waiting
+  // for a worker, because each region's caller helps.
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  auto nested = [&] {
+    pool.fork_join(3, [&](std::size_t) {
+      pool.fork_join(3, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        ran.fetch_add(1);
+      });
+    });
+  };
+  std::vector<std::future<void>> regions;
+  for (int r = 0; r < 4; ++r) {
+    auto done = std::make_shared<std::promise<void>>();
+    regions.push_back(done->get_future());
+    pool.submit([nested, done] {
+      nested();
+      done->set_value();
+    });
+  }
+  nested();
+  for (auto& region : regions)
+    EXPECT_EQ(region.wait_for(kJoinTimeout), std::future_status::ready);
+  EXPECT_EQ(ran.load(), 5 * 9);
+}
+
+TEST(ThreadPool, ForkJoinRunsEveryLaneExactlyOnce) {
+  constexpr std::size_t kLanes = 2000;
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> runs(kLanes);
+  const auto count = [&](std::size_t lane) { runs[lane].fetch_add(1); };
+  pool.fork_join(kLanes, count);  // from a non-pool thread
+  EXPECT_TRUE(
+      completes_on_worker(pool, [&] { pool.fork_join(kLanes, count); }));
+  for (std::size_t l = 0; l < kLanes; ++l)
+    ASSERT_EQ(runs[l].load(), 2) << "lane " << l;
+}
+
+TEST(ThreadPool, ForkJoinRethrowsTheFirstErrorAfterEveryLaneReturns) {
+  ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  try {
+    pool.fork_join(6, [&](std::size_t lane) {
+      if (lane == 0) throw std::runtime_error("first");
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      if (lane == 5) throw std::logic_error("later");
+      finished.fetch_add(1);
+    });
+    ADD_FAILURE() << "fork_join swallowed the lanes' errors";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  EXPECT_EQ(finished.load(), 4);  // the join outlived both failures
+}
+
+TEST(ThreadPool, ForEachLaneRunsInOrderWithoutAPool) {
+  std::vector<std::size_t> order;
+  for_each_lane(nullptr, 4, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  ThreadPool pool(2);
+  std::atomic<std::size_t> sum{0};
+  for_each_lane(&pool, 0, [&](std::size_t) { sum.fetch_add(1); });
+  for_each_lane(&pool, 5, [&](std::size_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 10u);
 }
 
 TEST(WorkLedger, TracksPerWorkerClocks) {
