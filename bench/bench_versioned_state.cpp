@@ -1,11 +1,12 @@
-// Microbenchmark: sharded lock-minimal VersionedState vs the pre-change
-// single-lock store (one shared_mutex guarding one unordered_map).
+// Microbenchmark: state::MvMemory — the multi-version memory both proposer
+// engines execute through — driven the way OCC-WSI drives it, vs the
+// original single-lock store (one shared_mutex guarding one unordered_map).
 //
 // Phases:
 //  1. snapshot-read throughput at 1/2/4/8/16 executor threads, both stores
 //     (the OCC-WSI hot path: executor threads reading a frozen snapshot);
 //  2. reserve-table validation scans: latest_version under the global lock
-//     vs the stamp-table newer_than fast path;
+//     vs MvMemory::written_from under one stripe lock;
 //  3. reads racing one committer (the proposer steady state);
 //  4. the Fig. 6 proposer curve (virtual-time mode, wall-clock per block)
 //     against the pre-change numbers measured on this host;
@@ -29,7 +30,6 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -41,14 +41,13 @@
 namespace blockpilot::bench {
 namespace {
 
-using state::ReadCache;
+using state::MvMemory;
 using state::StateKey;
-using state::VersionedState;
 using state::WorldState;
 
 // ---------------------------------------------------------------------------
-// Pre-change baseline: the exact store this PR replaced.  Kept here (not in
-// src/) so the comparison survives future refactors of the real store.
+// Baseline: the original OCC-WSI store.  Kept here (not in src/) so the
+// comparison survives future refactors of the real store.
 
 class SingleLockStore {
  public:
@@ -99,6 +98,66 @@ class SingleLockStore {
   std::unordered_map<StateKey, std::vector<std::pair<std::uint64_t, U256>>>
       versions_;
   std::uint64_t committed_version_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// MvMemory under the OCC-WSI protocol (src/core/engine_occ_wsi.cpp): the
+// transaction committed as version v records at block position v - 1, a
+// snapshot at version s reads at index s, staleness is written_from, and
+// the committed count is release-published after each record.
+//
+// An MvMemory has a fixed number of positions, while phase 3's committer
+// runs until the readers finish.  Past the last position it keeps
+// recording by re-incarnating the positions above `base_versions` in turn,
+// so the committer stays live (exclusive stripe locks, map writes) at the
+// same rate; the published count then stays at the last position.
+
+/// Positions phase 3 adds past the universe's versions before the
+/// committer starts re-incarnating them.
+constexpr std::size_t kExtraPositions = 1 << 16;
+
+class MvStore {
+ public:
+  MvStore(const WorldState& base, std::uint32_t positions,
+          std::uint32_t base_versions)
+      : mv_(base, positions),
+        positions_(positions),
+        base_versions_(base_versions) {}
+
+  U256 read_at(const StateKey& key, std::uint64_t snapshot) const {
+    return mv_.read(key, static_cast<std::uint32_t>(snapshot)).value;
+  }
+
+  bool newer_than(const StateKey& key, std::uint64_t snapshot) const {
+    return mv_.written_from(key, static_cast<std::uint32_t>(snapshot));
+  }
+
+  void commit(const std::vector<std::pair<StateKey, U256>>& write_set,
+              std::uint64_t version) {
+    std::uint64_t position = version - 1;
+    std::uint64_t incarnation = 0;
+    if (position >= positions_) {
+      const std::uint64_t span = positions_ - base_versions_;
+      const std::uint64_t past = position - base_versions_;
+      position = base_versions_ + past % span;
+      incarnation = past / span;
+    }
+    mv_.record(static_cast<std::uint32_t>(position),
+               static_cast<std::uint32_t>(incarnation), write_set);
+    committed_.store(
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(version, positions_)),
+        std::memory_order_release);
+  }
+
+  std::uint64_t committed_version() const {
+    return committed_.load(std::memory_order_acquire);
+  }
+
+ private:
+  MvMemory mv_;
+  std::uint32_t positions_;
+  std::uint32_t base_versions_;
+  std::atomic<std::uint32_t> committed_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -153,11 +212,9 @@ void commit_all(Store& store, const Universe& u) {
 
 /// Aggregate snapshot-read throughput: `threads` readers each issue `ops`
 /// reads of zipf-popular universe keys at the committed snapshot — the
-/// executor hot path.  For the sharded store this goes through the
-/// per-thread ReadCache exactly as the reworked proposer does (SnapshotView
-/// carries one per executor thread); the single-lock baseline reads the way
-/// the pre-change proposer did (raw locked lookup, no memoization layer —
-/// none existed).  Returns Mops/s.
+/// executor hot path.  Both stores serve every read from the store (a
+/// lane's per-attempt memo only repeats a key within one transaction).
+/// Returns Mops/s.
 template <typename Store>
 double read_throughput(const Store& store, const Universe& u,
                        const ZipfSampler& zipf, std::size_t threads,
@@ -174,30 +231,17 @@ double read_throughput(const Store& store, const Universe& u,
       Xoshiro256 rng(0x5EED + t);
       std::vector<std::uint32_t> idx(ops);
       for (auto& x : idx) x = static_cast<std::uint32_t>(zipf(rng));
-      ReadCache cache;
       // Steady-state warm-up: one untimed pass brings the store's buckets
-      // and the per-thread ReadCache to their mid-block state for both
-      // store kinds before the clock starts.
+      // to their mid-block state for both store kinds before the clock
+      // starts.
       std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < std::min<std::size_t>(ops, 10'000); ++i) {
-        const StateKey& key = u.keys[idx[i]];
-        if constexpr (std::is_same_v<Store, VersionedState>) {
-          acc += store.read_at(key, snap, cache).low64();
-        } else {
-          acc += store.read_at(key, snap).low64();
-        }
-      }
+      for (std::size_t i = 0; i < std::min<std::size_t>(ops, 10'000); ++i)
+        acc += store.read_at(u.keys[idx[i]], snap).low64();
       ready.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) {
       }
-      for (std::size_t i = 0; i < ops; ++i) {
-        const StateKey& key = u.keys[idx[i]];
-        if constexpr (std::is_same_v<Store, VersionedState>) {
-          acc += store.read_at(key, snap, cache).low64();
-        } else {
-          acc += store.read_at(key, snap).low64();
-        }
-      }
+      for (std::size_t i = 0; i < ops; ++i)
+        acc += store.read_at(u.keys[idx[i]], snap).low64();
       sink.fetch_add(acc, std::memory_order_relaxed);
     });
   }
@@ -215,9 +259,9 @@ double read_throughput(const Store& store, const Universe& u,
 /// Executor hot-path throughput: the per-key sequence an OCC-WSI executor
 /// actually performs — one snapshot read when the transaction executes plus
 /// one reserve-table check (`newer_than`) when its read set is validated.
-/// Sharded store: cached read + lock-free stamp check.  Single-lock store:
-/// two locked lookups (exactly the pre-change proposer).  Returns M key-ops/s
-/// (one read+validate pair = one op).
+/// MvMemory: two lookups under one stripe's lock each.  Single-lock store:
+/// two lookups under the one global lock.  Returns M key-ops/s (one
+/// read+validate pair = one op).
 template <typename Store>
 double hot_path_throughput(const Store& store, const Universe& u,
                            const ZipfSampler& zipf, std::size_t threads,
@@ -232,15 +276,10 @@ double hot_path_throughput(const Store& store, const Universe& u,
       Xoshiro256 rng(0xB0DE + t);
       std::vector<std::uint32_t> idx(ops);
       for (auto& x : idx) x = static_cast<std::uint32_t>(zipf(rng));
-      ReadCache cache;
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < std::min<std::size_t>(ops, 10'000); ++i) {
         const StateKey& key = u.keys[idx[i]];
-        if constexpr (std::is_same_v<Store, VersionedState>) {
-          acc += store.read_at(key, snap, cache).low64();
-        } else {
-          acc += store.read_at(key, snap).low64();
-        }
+        acc += store.read_at(key, snap).low64();
         acc += store.newer_than(key, snap) ? 1 : 0;
       }
       ready.fetch_add(1, std::memory_order_release);
@@ -248,11 +287,7 @@ double hot_path_throughput(const Store& store, const Universe& u,
       }
       for (std::size_t i = 0; i < ops; ++i) {
         const StateKey& key = u.keys[idx[i]];
-        if constexpr (std::is_same_v<Store, VersionedState>) {
-          acc += store.read_at(key, snap, cache).low64();
-        } else {
-          acc += store.read_at(key, snap).low64();
-        }
+        acc += store.read_at(key, snap).low64();
         acc += store.newer_than(key, snap) ? 1 : 0;
       }
       sink.fetch_add(acc, std::memory_order_relaxed);
@@ -304,8 +339,7 @@ double validate_throughput(const Store& store, const Universe& u,
 /// threads read their snapshots).  Returns aggregate reader Mops/s.  This is
 /// where the single lock hurts most: every commit takes the one exclusive
 /// lock and stalls all readers (catastrophically so if the writer is
-/// preempted while holding it), while the sharded store pins one stripe at a
-/// time and stamp-guided readers skip locking entirely.
+/// preempted while holding it), while MvMemory pins one stripe at a time.
 template <typename Store>
 double mixed_throughput(Store& store, const Universe& u,
                         const ZipfSampler& zipf, std::size_t threads,
@@ -322,19 +356,13 @@ double mixed_throughput(Store& store, const Universe& u,
       Xoshiro256 rng(0xFACE + t);
       std::vector<std::uint32_t> idx(ops);
       for (auto& x : idx) x = static_cast<std::uint32_t>(zipf(rng));
-      ReadCache cache;
       ready.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) {
       }
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < ops; ++i) {
         const std::uint64_t snap = store.committed_version();
-        const StateKey& key = u.keys[idx[i]];
-        if constexpr (std::is_same_v<Store, VersionedState>) {
-          acc += store.read_at(key, snap, cache).low64();
-        } else {
-          acc += store.read_at(key, snap).low64();
-        }
+        acc += store.read_at(u.keys[idx[i]], snap).low64();
       }
       sink.fetch_add(acc, std::memory_order_relaxed);
     });
@@ -655,9 +683,10 @@ void run(bool smoke) {
   // Heavy-tailed key popularity, as in the paper's workload model.
   const ZipfSampler zipf(u.keys.size(), 0.99);
   SingleLockStore single(u.base);
-  VersionedState sharded(u.base);
+  MvStore mv(u.base, static_cast<std::uint32_t>(versions),
+             static_cast<std::uint32_t>(versions));
   commit_all(single, u);
-  commit_all(sharded, u);
+  commit_all(mv, u);
 
   const std::vector<std::size_t> thread_counts =
       smoke ? std::vector<std::size_t>{1, 8}
@@ -671,44 +700,44 @@ void run(bool smoke) {
               std::thread::hardware_concurrency());
 
   // -- phase 1: snapshot-read throughput --------------------------------
-  double single_at_8 = 0, sharded_at_8 = 0;
+  double single_at_8 = 0, mv_at_8 = 0;
   std::printf("  \"snapshot_read_throughput\": [\n");
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const std::size_t t = thread_counts[i];
     const std::size_t ops = total_ops / t;
     const double mops_single = read_throughput(single, u, zipf, t, ops);
-    const double mops_sharded = read_throughput(sharded, u, zipf, t, ops);
+    const double mops_mv = read_throughput(mv, u, zipf, t, ops);
     if (t == 8) {
       single_at_8 = mops_single;
-      sharded_at_8 = mops_sharded;
+      mv_at_8 = mops_mv;
     }
     std::printf("    {\"threads\": %zu, \"single_lock_mops\": %.2f, "
-                "\"sharded_mops\": %.2f, \"speedup\": %.2f}%s\n",
-                t, mops_single, mops_sharded, mops_sharded / mops_single,
+                "\"mv_memory_mops\": %.2f, \"speedup\": %.2f}%s\n",
+                t, mops_single, mops_mv, mops_mv / mops_single,
                 i + 1 < thread_counts.size() ? "," : "");
   }
   std::printf("  ],\n");
 
   // -- phase 1b: executor hot-path op (read + validate) -----------------
-  double hot_single_at_1 = 0, hot_sharded_at_1 = 0;
-  double hot_single_at_8 = 0, hot_sharded_at_8 = 0;
+  double hot_single_at_1 = 0, hot_mv_at_1 = 0;
+  double hot_single_at_8 = 0, hot_mv_at_8 = 0;
   std::printf("  \"executor_hot_path\": [\n");
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const std::size_t t = thread_counts[i];
     const std::size_t ops = total_ops / t;
     const double mops_single = hot_path_throughput(single, u, zipf, t, ops);
-    const double mops_sharded = hot_path_throughput(sharded, u, zipf, t, ops);
+    const double mops_mv = hot_path_throughput(mv, u, zipf, t, ops);
     if (t == 1) {
       hot_single_at_1 = mops_single;
-      hot_sharded_at_1 = mops_sharded;
+      hot_mv_at_1 = mops_mv;
     }
     if (t == 8) {
       hot_single_at_8 = mops_single;
-      hot_sharded_at_8 = mops_sharded;
+      hot_mv_at_8 = mops_mv;
     }
     std::printf("    {\"threads\": %zu, \"single_lock_mops\": %.2f, "
-                "\"sharded_mops\": %.2f, \"speedup\": %.2f}%s\n",
-                t, mops_single, mops_sharded, mops_sharded / mops_single,
+                "\"mv_memory_mops\": %.2f, \"speedup\": %.2f}%s\n",
+                t, mops_single, mops_mv, mops_mv / mops_single,
                 i + 1 < thread_counts.size() ? "," : "");
   }
   std::printf("  ],\n");
@@ -719,10 +748,10 @@ void run(bool smoke) {
     const std::size_t t = thread_counts[i];
     const std::size_t ops = total_ops / t;
     const double mops_single = validate_throughput(single, u, t, ops);
-    const double mops_sharded = validate_throughput(sharded, u, t, ops);
+    const double mops_mv = validate_throughput(mv, u, t, ops);
     std::printf("    {\"threads\": %zu, \"single_lock_mops\": %.2f, "
-                "\"sharded_mops\": %.2f, \"speedup\": %.2f}%s\n",
-                t, mops_single, mops_sharded, mops_sharded / mops_single,
+                "\"mv_memory_mops\": %.2f, \"speedup\": %.2f}%s\n",
+                t, mops_single, mops_mv, mops_mv / mops_single,
                 i + 1 < thread_counts.size() ? "," : "");
   }
   std::printf("  ],\n");
@@ -730,8 +759,8 @@ void run(bool smoke) {
   // -- phase 3: readers racing one continuously-active committer --------
   // The proposer's actual operating condition (the commit section is live
   // for the whole block), and the acceptance metric for this PR: aggregate
-  // snapshot-read throughput at 8 executor threads, sharded vs single-lock.
-  double mixed_single_at_8 = 0, mixed_sharded_at_8 = 0;
+  // snapshot-read throughput at 8 executor threads, MvMemory vs single-lock.
+  double mixed_single_at_8 = 0, mixed_mv_at_8 = 0;
   {
     Xoshiro256 rng(0x0DD5);
     std::vector<std::vector<std::pair<StateKey, U256>>> extra;
@@ -752,20 +781,21 @@ void run(bool smoke) {
       // Fresh stores per store-kind so chain lengths match across kinds.
       Universe u2 = make_universe(accounts, slots_per, versions, writes_per);
       SingleLockStore single2(u2.base);
-      VersionedState sharded2(u2.base);
+      MvStore mv2(u2.base, static_cast<std::uint32_t>(versions + kExtraPositions),
+                  static_cast<std::uint32_t>(versions));
       commit_all(single2, u2);
-      commit_all(sharded2, u2);
+      commit_all(mv2, u2);
       const double mops_single =
           mixed_throughput(single2, u2, zipf, t, ops, extra);
-      const double mops_sharded =
-          mixed_throughput(sharded2, u2, zipf, t, ops, extra);
+      const double mops_mv =
+          mixed_throughput(mv2, u2, zipf, t, ops, extra);
       if (t == 8) {
         mixed_single_at_8 = mops_single;
-        mixed_sharded_at_8 = mops_sharded;
+        mixed_mv_at_8 = mops_mv;
       }
       std::printf("    {\"threads\": %zu, \"single_lock_mops\": %.2f, "
-                  "\"sharded_mops\": %.2f, \"speedup\": %.2f}%s\n",
-                  t, mops_single, mops_sharded, mops_sharded / mops_single,
+                  "\"mv_memory_mops\": %.2f, \"speedup\": %.2f}%s\n",
+                  t, mops_single, mops_mv, mops_mv / mops_single,
                   i + 1 < thread_counts.size() ? "," : "");
     }
     std::printf("  ],\n");
@@ -824,23 +854,22 @@ void run(bool smoke) {
   std::printf("  ]},\n");
 
   // Acceptance metrics.  The executor hot-path op (snapshot read + WSI
-  // validation of that key) is what the rework moved off locks.  Note on
-  // thread counts: on a single-core host, >1 "threads" measures time-sliced
-  // interference rather than parallel scaling (the per-thread ReadCaches
-  // fight over one core's L2, and the shared_mutex is never truly
-  // contended, which flatters the single-lock baseline); the 1-thread
-  // figure is the clean per-op comparison there, and the 8-thread gap
-  // widens on real multi-core hardware where the single lock's cache-line
+  // validation of that key) is what striping takes off the one global lock.
+  // Note on thread counts: on a single-core host, >1 "threads" measures
+  // time-sliced interference rather than parallel scaling (the shared_mutex
+  // is never truly contended, which flatters the single-lock baseline); the
+  // 1-thread figure is the clean per-op comparison there, and the 8-thread
+  // gap widens on multi-core hardware where the single lock's cache-line
   // ping-pong dominates.
   std::printf("  \"acceptance\": {\"hot_path_speedup_at_1_thread\": %.2f, "
               "\"hot_path_speedup_at_8_threads\": %.2f, "
               "\"read_under_commit_speedup_at_8_threads\": %.2f, "
               "\"uncontended_read_speedup_at_8_threads\": %.2f, "
               "\"target\": 3.0, \"single_core_host\": %s}\n",
-              hot_sharded_at_1 / hot_single_at_1,
-              hot_sharded_at_8 / hot_single_at_8,
-              mixed_sharded_at_8 / mixed_single_at_8,
-              sharded_at_8 / single_at_8,
+              hot_mv_at_1 / hot_single_at_1,
+              hot_mv_at_8 / hot_single_at_8,
+              mixed_mv_at_8 / mixed_single_at_8,
+              mv_at_8 / single_at_8,
               std::thread::hardware_concurrency() <= 1 ? "true" : "false");
   std::printf("}\n");
 
@@ -858,14 +887,14 @@ void run(bool smoke) {
                  regime.size(), regime_exact ? 1 : 0, regime_nonzero ? 1 : 0);
     std::exit(1);
   }
-  if (hot_sharded_at_8 < hot_single_at_8 ||
-      mixed_sharded_at_8 < mixed_single_at_8 || sharded_at_8 < single_at_8) {
+  if (hot_mv_at_8 < hot_single_at_8 ||
+      mixed_mv_at_8 < mixed_single_at_8 || mv_at_8 < single_at_8) {
     std::fprintf(stderr,
-                 "PERF-SMOKE REGRESSION: sharded store below single-lock at "
+                 "PERF-SMOKE REGRESSION: MvMemory below single-lock at "
                  "8 threads (hot-path %.2f vs %.2f, under-commit %.2f vs "
                  "%.2f, uncontended %.2f vs %.2f Mops/s)\n",
-                 hot_sharded_at_8, hot_single_at_8, mixed_sharded_at_8,
-                 mixed_single_at_8, sharded_at_8, single_at_8);
+                 hot_mv_at_8, hot_single_at_8, mixed_mv_at_8,
+                 mixed_single_at_8, mv_at_8, single_at_8);
     std::exit(1);
   }
 }

@@ -14,8 +14,9 @@
 # The stm-labeled suites (Block-STM scheduler, multi-version memory, the
 # cross-engine differential, the host-threads hammer, the preemption
 # hammer that replays Block-STM and OCC-WSI host-proposed blocks on a
-# replica, the ThreadPool and its fork_join primitive, and the real-lane
-# subgraph-LPT validator) run in the default build and again under
+# replica, the OCC-WSI proposer's real-thread lanes, the ThreadPool and its
+# fork_join primitive, and the real-lane subgraph-LPT validator) run in
+# the default build and again under
 # ThreadSanitizer (the tsan-stm preset).
 # The db-labeled crash/recovery suites additionally run under
 # ThreadSanitizer (the tsan-db preset: the store sweep scans sealed pages
@@ -65,9 +66,9 @@ if [[ "${1:-}" == "--tier1" ]]; then
   exit 0
 fi
 
-echo "==> perf-smoke: bench_versioned_state --smoke (sharded-store + engine gates)"
-# Fails on crash, on the regression sentinel (sharded store slower than the
-# embedded single-lock baseline), on a differential mismatch (proposed
+echo "==> perf-smoke: bench_versioned_state --smoke (multi-version memory + engine gates)"
+# Fails on crash, on the regression sentinel (MvMemory slower than the
+# embedded single-lock baseline at 8 threads), on a differential mismatch (proposed
 # blocks not bit-identical to the pre-change capture), or on the regime-map
 # gate (fewer than 4 largest-subgraph-ratio points, an OCC block that does
 # not replay serially to its own root, a Block-STM block not bit-identical
@@ -139,7 +140,7 @@ ctest --preset tsan-net
 echo "==> tsan: evm-labeled tests (interpreter differential, shared analysis cache)"
 ctest --preset tsan-evm
 
-echo "==> tsan: stm-labeled tests (Block-STM, thread pool fork-join, validator lanes under real threads)"
+echo "==> tsan: stm-labeled tests (Block-STM, OCC-WSI proposer lanes, thread pool fork-join, validator lanes under real threads)"
 ctest --preset tsan-stm
 
 echo "==> tsan: engine-differential matrix (proposer x validator engines, adaptive selection)"

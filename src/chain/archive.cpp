@@ -57,7 +57,9 @@ std::optional<BlockAnnouncement> BlockArchiveReader::next() {
     ok_ = false;
     return std::nullopt;
   }
-  return decode_announcement(std::span(wire));
+  std::optional<BlockAnnouncement> ann = try_decode_announcement(wire);
+  if (!ann.has_value()) ok_ = false;
+  return ann;
 }
 
 }  // namespace blockpilot::chain

@@ -164,7 +164,8 @@ Bytes encode_announcement(const BlockAnnouncement& ann) {
   return enc.take();
 }
 
-BlockAnnouncement decode_announcement(std::span<const std::uint8_t> wire) {
+std::optional<BlockAnnouncement> try_decode_announcement(
+    std::span<const std::uint8_t> wire) {
   rlp::Reader in(wire);
   rlp::Reader r = in.list();
   BlockAnnouncement ann;
@@ -172,8 +173,14 @@ BlockAnnouncement decode_announcement(std::span<const std::uint8_t> wire) {
   ann.profile = read_profile(r);
   r.finish();
   in.finish();
-  BP_ASSERT_MSG(in.ok(), "malformed block announcement");
+  if (!in.ok()) return std::nullopt;
   return ann;
+}
+
+BlockAnnouncement decode_announcement(std::span<const std::uint8_t> wire) {
+  std::optional<BlockAnnouncement> ann = try_decode_announcement(wire);
+  BP_ASSERT_MSG(ann.has_value(), "malformed block announcement");
+  return std::move(*ann);
 }
 
 }  // namespace blockpilot::chain

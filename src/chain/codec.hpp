@@ -7,6 +7,7 @@
 // RLP, so the network substrate (src/net) ships plain byte strings.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "chain/block.hpp"
@@ -42,5 +43,9 @@ struct BlockAnnouncement {
 
 Bytes encode_announcement(const BlockAnnouncement& ann);
 BlockAnnouncement decode_announcement(std::span<const std::uint8_t> wire);
+/// As decode_announcement, but nullopt on malformed input instead of an
+/// abort: for bytes read from disk (BlockArchiveReader).
+std::optional<BlockAnnouncement> try_decode_announcement(
+    std::span<const std::uint8_t> wire);
 
 }  // namespace blockpilot::chain

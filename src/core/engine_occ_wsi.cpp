@@ -2,8 +2,8 @@
 //
 // Lanes repeatedly:
 //  1. pop the highest-gas-price transaction from the pending pool;
-//  2. take a snapshot version (the currently committed version) of the
-//     multi-version state and execute the transaction against it;
+//  2. take a snapshot version (the count of committed transactions) of the
+//     multi-version memory and execute the transaction against it;
 //  3. enter the serialized commit section (Algorithm 1's DetectConflit +
 //     "Synchronize with all worker threads"):
 //       - capacity gate: a transaction that no longer fits closes the block
@@ -11,8 +11,9 @@
 //       - WSI validation: if any key in the transaction's read set has a
 //         committed version newer than the snapshot, the execution observed
 //         stale data -> abort, push the transaction back into the pool;
-//       - otherwise commit: assign version = block position + 1, apply the
-//         write set, append to the block, record the profile entry.
+//       - otherwise commit: record the write set at the next block position
+//         (version = position + 1), publish it, append to the block, record
+//         the profile entry.
 // Write-write conflicts do NOT abort: blind writes serialize by version
 // order, which is the WSI relaxation the paper exploits.
 //
@@ -26,17 +27,21 @@
 //  * kHostThreads — `threads` real lanes on the ThreadPool race through the
 //    same two steps (the thread-safety surface).
 //
-// Only the commit DECISION holds the commit mutex (uncontended on the
-// virtual clock): capacity gate, WSI validation, version assignment, the
-// VersionedState enqueue, and the block records.  The chain maintenance
-// (apply_commit) and the pool acknowledgment run outside it, so real lanes
-// with disjoint write sets flush their stripes concurrently.
+// The multi-version state is state::MvMemory, indexed by block position:
+// version v is stored at position v - 1, so a snapshot at version s reads
+// at index s ("the largest committed version <= s") and Table[key] > s is
+// MvMemory::written_from(key, s).  The commit section (commit_mu, uncontended
+// on the virtual clock) records the write set and then release-publishes
+// the new committed count, which lanes acquire as their next snapshot; the
+// pool acknowledgment runs outside it.
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <queue>
 #include <unordered_map>
 
 #include "core/execution_engine.hpp"
+#include "evm/gas.hpp"
 #include "state/exec_buffer.hpp"
 #include "state/versioned_state.hpp"
 #include "support/assert.hpp"
@@ -53,18 +58,25 @@ struct Attempt {
   evm::TxExecResult result;
   std::vector<state::StateKey> reads;                    // sorted
   std::vector<std::pair<state::StateKey, U256>> writes;  // key-sorted
-  std::uint64_t snapshot = 0;
+  std::uint32_t snapshot = 0;  // committed transactions when it started
 };
 
 /// Execution scratch, recycled across transactions and across re-runs of
-/// aborted ones: the buffer keeps its table allocations, and the read cache
-/// keeps snapshot values the version stamps prove still current (a retry
-/// re-reads only the keys that changed).  One per real lane; one shared by
-/// all virtual lanes (their event loop runs on one thread).
+/// aborted ones: the view and the buffer keep their table allocations.  One
+/// per real lane; one shared by all virtual lanes (their event loop runs on
+/// one thread).
 struct Scratch {
-  state::ReadCache read_cache;
+  explicit Scratch(const state::MvMemory& mv) : view(mv) {}
+  state::MvView view;
   state::ExecBuffer buffer;
 };
+
+/// Bound on a block's positions: each included transaction spends at least
+/// the intrinsic gas, so no more than gas_limit / intrinsic + 1 fit.
+std::size_t max_positions(const ProposerConfig& cfg) {
+  const std::size_t by_gas = cfg.block_gas_limit / evm::gas::kTxIntrinsic + 1;
+  return cfg.max_txs != 0 ? std::min(cfg.max_txs, by_gas) : by_gas;
+}
 
 enum class Decision : std::uint8_t { kCommitted, kAborted, kFull };
 
@@ -73,7 +85,7 @@ enum class Decision : std::uint8_t { kCommitted, kAborted, kFull };
 struct OccWsiRun {
   OccWsiRun(const ProposerConfig& cfg, const state::WorldState& pre,
             const evm::BlockContext& exec_ctx, txpool::TxPool& txs)
-      : config(cfg), ctx(exec_ctx), pool(txs), versioned(pre) {}
+      : config(cfg), ctx(exec_ctx), pool(txs), mv(pre, max_positions(cfg)) {}
 
   /// Lines 6-9: pops the next transaction into `a` and executes it against
   /// the current committed snapshot, capturing rs / ws.  Invalid
@@ -84,13 +96,16 @@ struct OccWsiRun {
 
   /// Lines 5 and 10-23: the commit section.  Pushes the transaction back
   /// when it no longer fits (kFull) or read stale data (kAborted);
-  /// otherwise commits it at version = block position + 1.
+  /// otherwise commits it at the next block position.
   Decision decide(Attempt& a);
 
   const ProposerConfig& config;
   const evm::BlockContext& ctx;
   txpool::TxPool& pool;
-  state::VersionedState versioned;
+  state::MvMemory mv;
+  /// Published block positions: a lane's snapshot.  Release-stored under
+  /// commit_mu after the position's record, acquired in execute_next.
+  std::atomic<std::uint32_t> committed{0};
   std::atomic<bool> full{false};  // gas limit / tx cap reached
 
   std::mutex commit_mu;
@@ -108,9 +123,9 @@ bool OccWsiRun::execute_next(Scratch& scratch, Attempt& a) {
     if (!popped.has_value()) return false;
     a.tx = std::move(*popped);
 
-    a.snapshot = versioned.committed_version();
-    const state::SnapshotView view(versioned, a.snapshot, &scratch.read_cache);
-    scratch.buffer.rebase(view);
+    a.snapshot = committed.load(std::memory_order_acquire);
+    scratch.view.begin(a.snapshot);
+    scratch.buffer.rebase(scratch.view);
     a.result = evm::execute_transaction(scratch.buffer, ctx, a.tx);
     if (a.result.status == evm::TxStatus::kIncluded) {
       scratch.buffer.sorted_read_keys_into(a.reads);
@@ -135,8 +150,6 @@ bool OccWsiRun::execute_next(Scratch& scratch, Attempt& a) {
 }
 
 Decision OccWsiRun::decide(Attempt& a) {
-  std::uint64_t version = 0;
-  std::uint64_t stripes = 0;
   Address sender;
   std::uint64_t nonce = 0;
   {
@@ -152,20 +165,20 @@ Decision OccWsiRun::decide(Attempt& a) {
     }
 
     // WSI validation: abort iff a read key gained a version after the
-    // snapshot (lines 13-16).  Write-write overlap commits.  newer_than is
-    // exact here: decisions are serialized by commit_mu and enqueue_commit
-    // makes each one observable (stamps + pending queues) before the lock
-    // is released, so no conflict can hide in another lane's pending apply.
+    // snapshot (lines 13-16).  Write-write overlap commits.  written_from
+    // is exact here: every record runs under commit_mu.
     for (const state::StateKey& key : a.reads) {
-      if (versioned.newer_than(key, a.snapshot)) {
+      if (mv.written_from(key, a.snapshot)) {
         ++stats.aborts;
         pool.push_back(std::move(a.tx));
         return Decision::kAborted;
       }
     }
 
-    version = out.block.transactions.size() + 1;
-    stripes = versioned.enqueue_commit(a.writes, version);
+    const auto position =
+        static_cast<std::uint32_t>(out.block.transactions.size());
+    mv.record(position, 0, a.writes);
+    committed.store(position + 1, std::memory_order_release);
     gas_used += a.result.gas_used;
     fees += a.result.fee();
 
@@ -186,7 +199,6 @@ Decision OccWsiRun::decide(Attempt& a) {
     nonce = a.tx.nonce;
     out.block.transactions.push_back(std::move(a.tx));
   }
-  versioned.apply_commit(stripes, version);
   // Acknowledge the commit: advances the sender's base nonce and releases
   // deferred same-sender successors.
   pool.committed(sender, nonce);
@@ -203,7 +215,7 @@ std::uint64_t drive_virtual(OccWsiRun& run, std::size_t lanes,
     bool busy = false;
   };
   std::vector<Lane> lane(lanes);
-  Scratch scratch;
+  Scratch scratch(run.mv);
   // Completion events (time, lane), earliest first.
   using Event = std::pair<std::uint64_t, std::size_t>;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
@@ -243,7 +255,7 @@ std::uint64_t drive_real(OccWsiRun& run, std::size_t lanes,
                          std::uint64_t commit_cost, ThreadPool& workers) {
   vtime::WorkLedger ledger(lanes);
   auto lane_loop = [&](std::size_t l) {
-    Scratch scratch;
+    Scratch scratch(run.mv);
     Attempt attempt;
     while (run.execute_next(scratch, attempt)) {
       // Aborted attempts are charged too (wasted work is real work).
@@ -279,7 +291,7 @@ class OccWsiEngine final : public ExecutionEngine {
             : drive_virtual(run, config_.threads, commit_cost);
 
     auto post = std::make_shared<state::WorldState>(pre);
-    run.versioned.flatten_into(*post);
+    run.mv.flatten_into(*post);
     ProposerStats stats = run.stats;
     // The commit section is a serial resource: even with perfect lane
     // balance the makespan cannot beat the chained commit decisions.

@@ -3,8 +3,9 @@
 //
 // Both execution contexts use it:
 //  * the OCC-WSI proposer executes each transaction into an ExecBuffer over
-//    a SnapshotView; the recorded read set drives WSI validation and the
-//    write set is what commit() applies (paper Algorithm 1's rs & ws);
+//    an MvView at its snapshot; the recorded read set drives WSI validation
+//    and the write set is what the commit records (paper Algorithm 1's
+//    rs & ws);
 //  * the validator executes each transaction into an ExecBuffer over the
 //    pending block overlay; the recorded sets are checked against the
 //    proposer's block profile (paper Algorithm 2 / §4.4).

@@ -9,13 +9,12 @@
 // account level"); see sched/depgraph.hpp.
 //
 // The hash is computed once at construction and cached in the key: the
-// sharded VersionedState derives both its stripe index and its reserve-table
-// stamp slot from it, and every unordered_map probe (ExecBuffer read/write
-// sets, validator overlays, dependency graphs) reuses it instead of
-// re-walking 20 address bytes + 4 slot limbs per probe.  A splitmix64
-// finalizer gives the avalanche quality the stripe/stamp bit-slicing needs
-// (sequential account ids and storage slots must not cluster into one
-// stripe; see StateKeyHash tests).
+// sharded MvMemory derives its stripe index from it, and every
+// unordered_map probe (ExecBuffer read/write sets, validator overlays,
+// dependency graphs) reuses it instead of re-walking 20 address bytes + 4
+// slot limbs per probe.  A splitmix64 finalizer gives the avalanche quality
+// the stripe bit-slicing needs (sequential account ids and storage slots
+// must not cluster into one stripe; see StateKeyHash tests).
 #pragma once
 
 #include <cstdint>

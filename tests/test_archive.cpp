@@ -51,6 +51,28 @@ TEST(Archive, TruncatedEntryFlagsError) {
   EXPECT_FALSE(reader.ok());
 }
 
+TEST(Archive, MalformedEntryPayloadFlagsError) {
+  // A well-framed entry whose payload is not an announcement: the first
+  // entry's outer list prefix is turned into the string prefix of the same
+  // length.  The reader must report it, not abort the process.
+  std::stringstream stream;
+  {
+    BlockArchiveWriter writer(stream);
+    BlockAnnouncement ann;
+    ann.block.header.number = 1;
+    writer.append(ann);
+  }
+  std::string data = stream.str();
+  constexpr std::size_t kPayload = 8 + 4;  // magic + length prefix
+  ASSERT_GE(static_cast<std::uint8_t>(data[kPayload]), 0xc0);
+  data[kPayload] = static_cast<char>(data[kPayload] - 0x40);
+  std::stringstream corrupted(data);
+  BlockArchiveReader reader(corrupted);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader.next(), std::nullopt);
+  EXPECT_FALSE(reader.ok());
+}
+
 TEST(Archive, ExportReplayIntoFreshNode) {
   // A proposing node builds a chain and archives every announcement; a
   // fresh validating node replays the archive from genesis and must arrive

@@ -203,7 +203,8 @@ TEST_F(ProposerFixture, LongAirdropNonceChainsCommitInOrder) {
 TEST_F(ProposerFixture, HostThreadsModeAlsoSerializable) {
   // The real-thread realization (genuine concurrency, host-dependent
   // scheduling) must produce serializable blocks too — thread-safety of
-  // the versioned store, pool, and commit section under actual races.
+  // the multi-version memory, pool, and commit section under actual races
+  // (the stm label runs it under ThreadSanitizer).
   txpool::TxPool pool;
   pool.add_all(gen.next_batch(80));
   ProposerConfig cfg;

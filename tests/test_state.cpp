@@ -190,97 +190,88 @@ TEST(StateKeyHash, SingleBitFlipsAvalanche) {
   EXPECT_LT(avg, 38.0);
 }
 
-TEST(VersionedState, ReadCacheHitsAndInvalidation) {
+// MvMemory as the OCC-WSI proposer drives it: the transaction committed as
+// version v records at block position v - 1, a snapshot at version s reads
+// at index s, and Table[key] > s is written_from(key, s).
+
+TEST(MvMemory, WrittenFromMatchesLatestWriter) {
+  // On a quiescent memory, written_from(key, s) must agree with the latest
+  // position that wrote the key, for every key and snapshot — including
+  // keys that share a stripe.
   WorldState base;
-  base.set(StateKey::balance(kAlice), U256{100});
-  VersionedState vs(base);
-  const StateKey key = StateKey::balance(kAlice);
-  ReadCache cache;
-
-  EXPECT_EQ(vs.read_at(key, 0, cache), U256{100});  // miss, fills cache
-  EXPECT_EQ(vs.read_at(key, 0, cache), U256{100});  // hit
-  EXPECT_EQ(cache.misses, 1u);
-  EXPECT_EQ(cache.hits, 1u);
-
-  // A commit raises the key's stamp past the cached as_of: the stale entry
-  // must be refreshed, not served.
-  vs.commit({{key, U256{90}}}, 1);
-  EXPECT_EQ(vs.read_at(key, 1, cache), U256{90});
-  EXPECT_EQ(cache.misses, 2u);
-
-  // Snapshot isolation through the cache: an older snapshot re-reads the
-  // old value even though the cache last saw version 1.
-  EXPECT_EQ(vs.read_at(key, 0, cache), U256{100});
-  EXPECT_EQ(vs.read_at(key, 1, cache), U256{90});
-}
-
-TEST(VersionedState, NewerThanMatchesLatestVersion) {
-  // newer_than's stamp fast path is an upper bound + exact fallback; on a
-  // quiescent store it must agree with latest_version for every key and
-  // snapshot, including keys sharing stamp slots.
-  WorldState base;
-  VersionedState vs(base);
+  constexpr std::uint32_t kPositions = 40;
+  MvMemory mv(base, kPositions);
   Xoshiro256 rng(0x7E57);
   std::vector<StateKey> keys;
   for (std::size_t a = 0; a < 64; ++a) {
     keys.push_back(StateKey::balance(Address::from_id(a + 1)));
     keys.push_back(StateKey::storage(Address::from_id(a + 1), U256{a}));
   }
-  for (std::uint64_t v = 1; v <= 40; ++v) {
+  // latest[k] = 1 + last position that wrote k (0 = never written), i.e.
+  // the key's latest committed version.
+  std::unordered_map<StateKey, std::uint32_t> latest;
+  for (std::uint32_t pos = 0; pos < kPositions; ++pos) {
     std::vector<std::pair<StateKey, U256>> ws;
     std::unordered_map<StateKey, bool> seen;
     while (ws.size() < 4) {
       const StateKey& k = keys[rng.below(keys.size())];
-      if (seen.try_emplace(k, true).second) ws.emplace_back(k, U256{v});
+      if (seen.try_emplace(k, true).second) ws.emplace_back(k, U256{pos});
     }
-    vs.commit(ws, v);
+    mv.record(pos, 0, ws);
+    for (const auto& [k, v] : ws) latest[k] = pos + 1;
   }
   for (const StateKey& k : keys) {
-    const std::uint64_t latest = vs.latest_version(k);
-    const std::uint64_t snaps[] = {0,  latest > 0 ? latest - 1 : 0,
-                                   latest, latest + 1, 40, 99};
-    for (const std::uint64_t snap : snaps) {
-      EXPECT_EQ(vs.newer_than(k, snap), latest > snap)
-          << k.to_string() << " snap=" << snap << " latest=" << latest;
+    const std::uint32_t v = latest.contains(k) ? latest[k] : 0;
+    const std::uint32_t snaps[] = {0, v > 0 ? v - 1 : 0, v, v + 1,
+                                   kPositions, 99};
+    for (const std::uint32_t snap : snaps) {
+      EXPECT_EQ(mv.written_from(k, snap), v > snap)
+          << k.to_string() << " snap=" << snap << " latest=" << v;
     }
   }
 }
 
-TEST(VersionedState, SnapshotVisibility) {
+TEST(MvMemory, SnapshotVisibility) {
   WorldState base;
   base.set(StateKey::balance(kAlice), U256{100});
-  VersionedState vs(base);
+  MvMemory mv(base, 4);
   const StateKey key = StateKey::balance(kAlice);
 
-  EXPECT_EQ(vs.read_at(key, 0), U256{100});
-  vs.commit({{key, U256{90}}}, 1);
-  vs.commit({{key, U256{80}}}, 2);
+  EXPECT_EQ(mv.read(key, 0).value, U256{100});
+  mv.record(0, 0, {{key, U256{90}}});
+  mv.record(1, 0, {{key, U256{80}}});
 
-  EXPECT_EQ(vs.read_at(key, 0), U256{100});  // old snapshot unaffected
-  EXPECT_EQ(vs.read_at(key, 1), U256{90});
-  EXPECT_EQ(vs.read_at(key, 2), U256{80});
-  EXPECT_EQ(vs.read_at(key, 99), U256{80});  // future snapshot sees latest
-  EXPECT_EQ(vs.latest_version(key), 2u);
-  EXPECT_EQ(vs.committed_version(), 2u);
+  EXPECT_EQ(mv.read(key, 0).value, U256{100});  // old snapshot unaffected
+  EXPECT_EQ(mv.read(key, 1).value, U256{90});
+  EXPECT_EQ(mv.read(key, 2).value, U256{80});
+  EXPECT_EQ(mv.read(key, 4).value, U256{80});  // later snapshot sees latest
+  EXPECT_TRUE(mv.written_from(key, 1));
+  EXPECT_FALSE(mv.written_from(key, 2));
 }
 
-TEST(VersionedState, LatestVersionZeroForUntouchedKeys) {
+TEST(MvMemory, UntouchedKeysReadBaseAndAreNeverWritten) {
   WorldState base;
-  VersionedState vs(base);
-  EXPECT_EQ(vs.latest_version(StateKey::balance(kBob)), 0u);
+  base.set(StateKey::balance(kBob), U256{7});
+  MvMemory mv(base, 4);
+  mv.record(0, 0, {{StateKey::balance(kAlice), U256{1}}});
+  EXPECT_FALSE(mv.written_from(StateKey::balance(kBob), 0));
+  const MvMemory::ReadResult r = mv.read(StateKey::balance(kBob), 4);
+  EXPECT_EQ(r.kind, MvMemory::ReadKind::kBase);
+  EXPECT_EQ(r.value, U256{7});
 }
 
-TEST(VersionedState, FlattenProducesFinalState) {
+TEST(MvMemory, FlattenProducesFinalState) {
   WorldState base;
   base.set(StateKey::balance(kAlice), U256{100});
   base.set(StateKey::balance(kBob), U256{50});
-  VersionedState vs(base);
-  vs.commit({{StateKey::balance(kAlice), U256{70}}}, 1);
-  vs.commit({{StateKey::storage(kBob, U256{3}), U256{5}}}, 2);
+  MvMemory mv(base, 4);
+  mv.record(0, 0, {{StateKey::balance(kAlice), U256{70}}});
+  mv.record(1, 0, {{StateKey::storage(kBob, U256{3}), U256{5}}});
+  mv.record(2, 0, {{StateKey::balance(kAlice), U256{60}}});
 
   WorldState out = base;
-  vs.flatten_into(out);
-  EXPECT_EQ(out.get(StateKey::balance(kAlice)), U256{70});
+  mv.flatten_into(out);
+  EXPECT_EQ(out.get(StateKey::balance(kAlice)), U256{60});
   EXPECT_EQ(out.get(StateKey::balance(kBob)), U256{50});
   EXPECT_EQ(out.get(StateKey::storage(kBob, U256{3})), U256{5});
 }
@@ -374,13 +365,15 @@ TEST(ExecBuffer, ResetClearsEverything) {
   EXPECT_TRUE(buf.write_set().empty());
 }
 
-TEST(SnapshotView, ReadsAtFixedVersion) {
+TEST(MvView, ReadsAtFixedSnapshot) {
   WorldState base;
   base.set(StateKey::balance(kAlice), U256{100});
-  VersionedState vs(base);
-  const SnapshotView snap0(vs, 0);
-  vs.commit({{StateKey::balance(kAlice), U256{55}}}, 1);
-  const SnapshotView snap1(vs, 1);
+  MvMemory mv(base, 2);
+  MvView snap0(mv);
+  snap0.begin(0);
+  mv.record(0, 0, {{StateKey::balance(kAlice), U256{55}}});
+  MvView snap1(mv);
+  snap1.begin(1);
   EXPECT_EQ(snap0.read(StateKey::balance(kAlice)), U256{100});
   EXPECT_EQ(snap1.read(StateKey::balance(kAlice)), U256{55});
 }

@@ -332,16 +332,18 @@ TEST(StressSupport, ThreadPoolNestedSubmissionsDrain) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded VersionedState: lock-free read/validation paths racing commits
+// MvMemory as the OCC-WSI proposer drives it: readers at the published
+// prefix racing a serialized record + publish
 
-TEST(StressVersionedState, SnapshotReadersRacingCommitterSeeOracleValues) {
-  // N reader threads hammer snapshot reads (through per-thread ReadCaches,
-  // like proposer executors) while one committer appends versions.  Each
-  // reader pins the snapshot it loaded and every value it observes must
-  // equal the serial oracle's value at that snapshot — regardless of how
-  // far the committer has advanced.  Under TSan this also proves the
-  // stamp-table fast paths and stripe publication order are race-free.
-  constexpr std::uint64_t kVersions = 200;
+TEST(StressMvMemory, SnapshotReadersRacingCommitterSeeOracleValues) {
+  // N reader threads hammer snapshot reads (through per-thread MvViews,
+  // like proposer lanes) while one committer records positions and then
+  // release-publishes the committed count, as the commit section does.
+  // Each reader pins the count it acquired and every value it observes
+  // must equal the serial oracle's value at that snapshot — regardless of
+  // how far the committer has advanced.  Under TSan this also proves the
+  // stripe locks and the publication order are race-free.
+  constexpr std::uint32_t kVersions = 200;
   constexpr std::size_t kReaders = 4;
   constexpr std::size_t kKeys = 96;
 
@@ -362,7 +364,7 @@ TEST(StressVersionedState, SnapshotReadersRacingCommitterSeeOracleValues) {
   value_at[0].resize(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i)
     value_at[0][i] = base.get(keys[i]);
-  for (std::uint64_t v = 1; v <= kVersions; ++v) {
+  for (std::uint32_t v = 1; v <= kVersions; ++v) {
     value_at[v] = value_at[v - 1];
     std::vector<std::pair<StateKey, U256>> ws;
     std::vector<bool> used(keys.size(), false);
@@ -377,27 +379,29 @@ TEST(StressVersionedState, SnapshotReadersRacingCommitterSeeOracleValues) {
     schedule.push_back(std::move(ws));
   }
 
-  state::VersionedState vs(base);
+  state::MvMemory mv(base, kVersions);
+  std::atomic<std::uint32_t> committed{0};
   std::atomic<bool> stop{false};
   std::vector<std::jthread> readers;
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Xoshiro256 rd(0xFEED + r);
-      state::ReadCache cache;
+      state::MvView view(mv);
       while (!stop.load(std::memory_order_acquire)) {
-        const std::uint64_t snap = vs.committed_version();
+        const std::uint32_t snap = committed.load(std::memory_order_acquire);
+        view.begin(snap);
         for (int probe = 0; probe < 16; ++probe) {
           const std::size_t i = rd.below(keys.size());
-          const U256 got = vs.read_at(keys[i], snap, cache);
+          const U256 got = view.read(keys[i]);
           ASSERT_EQ(got, value_at[snap][i])
               << "key " << i << " at snapshot " << snap;
           // Validation-path check, negative direction only (a racing commit
-          // may legitimately raise the stamp at any moment): `now` is loaded
-          // BEFORE the scan, so if newer_than finds no version above `snap`,
-          // no version in (snap, now] touched the key and the oracle values
+          // may record the key at any moment): `now` is acquired BEFORE the
+          // scan, so if written_from finds no writer at or above `snap`, no
+          // position in [snap, now) touched the key and the oracle values
           // must agree.
-          const std::uint64_t now = vs.committed_version();
-          if (!vs.newer_than(keys[i], snap)) {
+          const std::uint32_t now = committed.load(std::memory_order_acquire);
+          if (!mv.written_from(keys[i], snap)) {
             ASSERT_EQ(value_at[now][i], value_at[snap][i]);
           }
         }
@@ -405,81 +409,17 @@ TEST(StressVersionedState, SnapshotReadersRacingCommitterSeeOracleValues) {
     });
   }
 
-  for (std::uint64_t v = 1; v <= kVersions; ++v) {
-    vs.commit(schedule[v - 1], v);
-    if (v % 32 == 0) std::this_thread::yield();
+  for (std::uint32_t pos = 0; pos < kVersions; ++pos) {
+    mv.record(pos, 0, schedule[pos]);
+    committed.store(pos + 1, std::memory_order_release);
+    if ((pos + 1) % 32 == 0) std::this_thread::yield();
   }
   stop.store(true, std::memory_order_release);
   readers.clear();
 
   // Quiescent cross-check: final snapshot equals the oracle everywhere.
-  state::ReadCache cache;
   for (std::size_t i = 0; i < keys.size(); ++i)
-    EXPECT_EQ(vs.read_at(keys[i], kVersions, cache), value_at[kVersions][i]);
-}
-
-TEST(StressVersionedState, PackedSlotRepublishNeverServesDeadKey) {
-  // Key K is written at versions 1 and 2, so its packed slot is dead.  A
-  // slot sibling's first write (version 3) republishes that slot while
-  // readers spin on K at snapshot 2: the publish must keep the slot
-  // unreadable until its payload is complete, or a reader accepts K's dead
-  // version-1 payload.  A same-contract sibling shares the address words,
-  // so only the storage-slot limbs tell the two keys apart mid-write.
-  using state::VersionedState;
-  const Address contract = addr_of(7);
-  const StateKey key = StateKey::storage(contract, U256{1});
-  const auto packed_index = [](const StateKey& k) {
-    return (k.hash >> 6) & (VersionedState::kPackedSlots - 1);
-  };
-  std::uint64_t sibling_slot = 2;
-  while (packed_index(StateKey::storage(contract, U256{sibling_slot})) !=
-         packed_index(key))
-    ++sibling_slot;
-  const StateKey sibling = StateKey::storage(contract, U256{sibling_slot});
-
-  const int trials = kSanitized ? 500 : 20'000;
-  const std::size_t readers =
-      std::max(2u, std::thread::hardware_concurrency()) - 1;
-  const U256 dead{111};
-  const U256 live{222};
-  const state::WorldState base;
-  std::unique_ptr<VersionedState> vs;
-  std::atomic<int> trial{0};
-  std::atomic<std::size_t> reading{0};
-  std::atomic<std::size_t> finished{0};
-  std::atomic<bool> published{false};
-  std::atomic<std::uint64_t> wrong{0};
-
-  std::vector<std::jthread> threads;
-  for (std::size_t r = 0; r < readers; ++r) {
-    threads.emplace_back([&] {
-      for (int t = 1; t <= trials; ++t) {
-        while (trial.load() != t) std::this_thread::yield();
-        reading.fetch_add(1);
-        bool last = false;
-        do {
-          last = published.load();
-          if (vs->read_at(key, 2) != live) wrong.fetch_add(1);
-        } while (!last);
-        finished.fetch_add(1);
-      }
-    });
-  }
-  for (int t = 1; t <= trials; ++t) {
-    vs = std::make_unique<VersionedState>(base);
-    vs->commit({{key, dead}}, 1);
-    vs->commit({{key, live}}, 2);
-    reading.store(0);
-    finished.store(0);
-    published.store(false);
-    trial.store(t);
-    while (reading.load() != readers) std::this_thread::yield();
-    vs->commit({{sibling, U256{333}}}, 3);
-    published.store(true);
-    while (finished.load() != readers) std::this_thread::yield();
-  }
-  threads.clear();
-  EXPECT_EQ(wrong.load(), 0u) << "stale reads over " << trials << " trials";
+    EXPECT_EQ(mv.read(keys[i], kVersions).value, value_at[kVersions][i]);
 }
 
 }  // namespace
